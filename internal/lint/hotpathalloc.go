@@ -30,7 +30,9 @@ import (
 //     append target must be traceable to a make with explicit size, a
 //     reslice of an existing backing array (buf[:0]), or a parameter
 //     (preallocation is then the documented caller contract, as with
-//     AnalyzeWithPartialInto's dst).
+//     AnalyzeWithPartialInto's dst). Reassigning x = f(x, ...) through
+//     an append-style function (first parameter and result the same
+//     slice type, like strconv.AppendFloat) keeps x's evidence.
 //
 // Cold spots inside a hot function (a panic formatting branch, a
 // once-per-run goroutine launch) are suppressed case by case with
@@ -231,22 +233,38 @@ func hasCapacity(p *Pass, rhs ast.Expr, target types.Object, known map[types.Obj
 	case *ast.SliceExpr:
 		return true
 	case *ast.CallExpr:
-		id, ok := rhs.Fun.(*ast.Ident)
-		if !ok {
-			return false
+		growsTarget := len(rhs.Args) > 0 && lvalueObject(p, rhs.Args[0]) == target && known[target]
+		if id, ok := rhs.Fun.(*ast.Ident); ok {
+			if _, isBuiltin := p.Pkg.Info.Uses[id].(*types.Builtin); isBuiltin {
+				switch id.Name {
+				case "make":
+					return len(rhs.Args) >= 2 // make([]T, n) or make([]T, n, c)
+				case "append":
+					// x = append(x, ...) preserves x's evidence.
+					return growsTarget
+				}
+				return false
+			}
 		}
-		if _, isBuiltin := p.Pkg.Info.Uses[id].(*types.Builtin); !isBuiltin {
-			return false
-		}
-		switch id.Name {
-		case "make":
-			return len(rhs.Args) >= 2 // make([]T, n) or make([]T, n, c)
-		case "append":
-			// x = append(x, ...) preserves x's evidence.
-			return len(rhs.Args) > 0 && lvalueObject(p, rhs.Args[0]) == target && known[target]
-		}
+		// x = f(x, ...) through an append-style function (strconv.AppendFloat
+		// and the like) grows x exactly as append does.
+		return growsTarget && appendStyle(p, rhs)
 	}
 	return false
+}
+
+// appendStyle reports whether call's callee has the append shape: its
+// first parameter and its only result are the same slice type.
+func appendStyle(p *Pass, call *ast.CallExpr) bool {
+	sig, ok := types.Unalias(derefType(p.TypeOf(call.Fun))).(*types.Signature)
+	if !ok || sig.Params().Len() == 0 || sig.Results().Len() != 1 {
+		return false
+	}
+	first := sig.Params().At(0).Type()
+	if _, ok := first.Underlying().(*types.Slice); !ok {
+		return false
+	}
+	return types.Identical(first, sig.Results().At(0).Type())
 }
 
 // lvalueObject resolves an ident or selector to its variable object.

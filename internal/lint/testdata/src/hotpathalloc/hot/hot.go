@@ -3,7 +3,10 @@
 // marked //reprolint:hotpath are checked.
 package hot
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 type box struct{ v int }
 
@@ -37,6 +40,22 @@ func Grow(n int) []int {
 	buf = append(buf, n)
 	sharedBuf = buf
 	return out
+}
+
+func appendDigit(dst []byte, d int) []byte { return append(dst, byte('0'+d)) }
+
+// Encode chains append-style helpers: reassigning through them keeps
+// the caller's buffer evidence, exactly as append itself does. A
+// buffer an append-style helper starts from nil has none.
+//
+//reprolint:hotpath
+func Encode(dst []byte, n int) []byte {
+	dst = appendDigit(dst, n)
+	dst = strconv.AppendInt(dst, int64(n), 10)
+	fresh := appendDigit(nil, n)
+	fresh = append(fresh, '!') // want "append without capacity evidence"
+	_ = fresh
+	return append(dst, '\n')
 }
 
 // Leaky violates each rule once.

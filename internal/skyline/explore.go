@@ -1,9 +1,7 @@
 package skyline
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -12,6 +10,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/dse"
@@ -248,7 +247,9 @@ type MetricJSON struct {
 	Value JSONFloat `json:"value"`
 }
 
-// ExploreCandidateJSON is one /explore NDJSON line.
+// ExploreCandidateJSON is one /explore NDJSON line, the shape clients
+// decode. The server writes it with appendExploreLine rather than
+// through encoding/json; the bytes are the same.
 type ExploreCandidateJSON struct {
 	Name      string    `json:"name"`
 	UAV       string    `json:"uav"`
@@ -269,40 +270,78 @@ type ExploreCandidateJSON struct {
 	Metrics   []MetricJSON `json:"metrics,omitempty"`
 }
 
-// exploreLine converts a candidate for the wire. cols and objName are
-// the active objective's columns and registry name (nil/"" on plain
+// exploreFlushInterval is the streaming /explore flush budget: the
+// first line is flushed at once, later lines at most once per
+// interval. Between flushes net/http's response buffer batches lines
+// into large socket writes instead of one chunked write per candidate.
+const exploreFlushInterval = 10 * time.Millisecond
+
+// appendExploreLine appends c's /explore NDJSON line to dst: the
+// ExploreCandidateJSON shape, newline-terminated, byte-identical to
+// json.Encoder's encoding of that struct with its omitempty fields
+// (jsonappend_test.go diffs the two). objName and cols are the active
+// objective's registry name and columns ("" and nil on plain
 // explorations).
-func exploreLine(c dse.Candidate, objName string, cols []dse.ObjectiveColumn) ExploreCandidateJSON {
-	an := c.Analysis
-	out := ExploreCandidateJSON{
-		Name:      c.Name(),
-		UAV:       c.Selection.UAV,
-		Compute:   c.Selection.Compute,
-		Algorithm: c.Selection.Algorithm,
-		Sensor:    c.Selection.Sensor,
-		VSafeMS:   JSONFloat(an.SafeVelocity.MetersPerSecond()),
-		KneeHz:    JSONFloat(an.Knee.Throughput.Hertz()),
-		PowerW:    JSONFloat(c.Power.Watts()),
-		PayloadG:  JSONFloat(an.Config.Payload.Grams()),
-		Bound:     an.Bound.String(),
-		Class:     an.Class.String(),
+//
+//reprolint:hotpath
+func appendExploreLine(dst []byte, c dse.Candidate, objName string, cols []dse.ObjectiveColumn) []byte {
+	an := &c.Analysis
+	dst = append(dst, `{"name":`...)
+	dst = appendJSONString(dst, an.Config.Name)
+	dst = append(dst, `,"uav":`...)
+	dst = appendJSONString(dst, c.Selection.UAV)
+	dst = append(dst, `,"compute":`...)
+	dst = appendJSONString(dst, c.Selection.Compute)
+	dst = append(dst, `,"algorithm":`...)
+	dst = appendJSONString(dst, c.Selection.Algorithm)
+	if c.Selection.Sensor != "" {
+		dst = append(dst, `,"sensor":`...)
+		dst = appendJSONString(dst, c.Selection.Sensor)
 	}
-	// Non-finite readings stay at zero so omitempty drops them and the
-	// wire format matches pre-JSONFloat output byte for byte.
-	if v := an.Action.Hertz(); !math.IsInf(v, 0) && !math.IsNaN(v) {
-		out.ActionHz = JSONFloat(v)
+	dst = append(dst, `,"v_safe_ms":`...)
+	dst = appendJSONFloat(dst, an.SafeVelocity.MetersPerSecond())
+	// A non-finite action rate is written as 0 and a non-finite gap
+	// factor is omitted, keeping the wire format of the raw-float64
+	// encoder that predates null encoding.
+	dst = append(dst, `,"action_hz":`...)
+	if v := an.Action.Hertz(); math.IsInf(v, 0) || math.IsNaN(v) {
+		dst = append(dst, '0')
+	} else {
+		dst = appendJSONFloat(dst, v)
 	}
-	if g := an.GapFactor; !math.IsInf(g, 0) && !math.IsNaN(g) {
-		out.GapFactor = JSONFloat(g)
+	dst = append(dst, `,"knee_hz":`...)
+	dst = appendJSONFloat(dst, an.Knee.Throughput.Hertz())
+	dst = append(dst, `,"power_w":`...)
+	dst = appendJSONFloat(dst, c.Power.Watts())
+	dst = append(dst, `,"payload_g":`...)
+	dst = appendJSONFloat(dst, an.Config.Payload.Grams())
+	dst = append(dst, `,"bound":`...)
+	dst = appendJSONString(dst, an.Bound.String())
+	dst = append(dst, `,"class":`...)
+	dst = appendJSONString(dst, an.Class.String())
+	if g := an.GapFactor; g != 0 && !math.IsInf(g, 0) && !math.IsNaN(g) {
+		dst = append(dst, `,"gap_factor":`...)
+		dst = appendJSONFloat(dst, g)
 	}
 	if objName != "" && len(c.Metrics) == len(cols) {
-		out.Objective = objName
-		out.Metrics = make([]MetricJSON, len(cols))
-		for i, col := range cols {
-			out.Metrics[i] = MetricJSON{Name: col.Name, Value: JSONFloat(c.Metrics[i])}
+		dst = append(dst, `,"objective":`...)
+		dst = appendJSONString(dst, objName)
+		if len(cols) > 0 {
+			dst = append(dst, `,"metrics":[`...)
+			for i := range cols {
+				if i > 0 {
+					dst = append(dst, ',')
+				}
+				dst = append(dst, `{"name":`...)
+				dst = appendJSONString(dst, cols[i].Name)
+				dst = append(dst, `,"value":`...)
+				dst = appendJSONFloat(dst, c.Metrics[i])
+				dst = append(dst, '}')
+			}
+			dst = append(dst, ']')
 		}
 	}
-	return out
+	return append(dst, '}', '\n')
 }
 
 // requestWorkers resolves the workers= query knob against the server's
@@ -325,16 +364,19 @@ func (s *Server) requestWorkers(q url.Values) (int, error) {
 
 // handleExplore serves the design-space exploration as NDJSON. Without
 // a selection pass the candidates stream as the parallel engine
-// produces them — the first line arrives long before a large sweep
-// finishes — and the request context scopes the work: a dropped client
-// cancels the exploration's workers mid-space, and the timeout= knob
-// (or server default) bounds it in time. The request waits in the
-// server's admission queue for a slot (429 only when the queue itself
-// is full or the client is over quota) and its worker pool is clamped
-// to the per-request cap; the effective pool size is echoed in the
-// X-Explore-Workers header. While the queue is past its high-water
-// mark an unbounded exploration is downgraded to a capped top-K
-// response, flagged via X-Explore-Degraded.
+// produces them. The first line is flushed at once, so it arrives
+// long before a large sweep finishes; after that the stream flushes at
+// most once per exploreFlushInterval, and net/http's response buffer
+// turns the lines in between into large socket writes. The request
+// context scopes the work: a dropped client cancels the exploration's
+// workers mid-space, and the timeout= knob (or server default) bounds
+// it in time. The request waits in the server's admission queue for a
+// slot (429 only when the queue itself is full or the client is over
+// quota) and its worker pool is clamped to the per-request cap; the
+// effective pool size is echoed in the X-Explore-Workers header. While
+// the queue is past its high-water mark an unbounded exploration is
+// downgraded to a capped top-K response, flagged via
+// X-Explore-Degraded.
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	req, err := ParseExplore(s.cat, r.URL.Query())
 	if err != nil {
@@ -435,20 +477,16 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		// The slate is complete, so the response is encoded to memory
 		// first — which makes it spillable as a store artifact (a
 		// repeat top-K or Pareto query then answers from disk).
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
+		var body []byte
 		for _, c := range cands {
-			if err := enc.Encode(exploreLine(c, req.ObjectiveName, objCols)); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
+			body = appendExploreLine(body, c, req.ObjectiveName, objCols)
 		}
-		if storeKey != "" && buf.Len() > 0 && ctx.Err() == nil {
-			s.store.Put(storeKey, buf.Bytes())
+		if storeKey != "" && len(body) > 0 && ctx.Err() == nil {
+			s.store.Put(storeKey, body)
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-		_, _ = buf.WriteTo(w) // a write failure means the client left
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		_, _ = w.Write(body) // a write failure means the client left
 		return
 	}
 
@@ -462,7 +500,10 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		spill = &spillBuffer{}
 		dst = teeWriter{w: w, spill: spill}
 	}
-	enc := json.NewEncoder(dst)
+	// One line buffer serves the whole stream. The zero lastFlush makes
+	// the first line flush at once.
+	line := make([]byte, 0, 512)
+	var lastFlush time.Time
 	complete := true
 	for cand, err := range e.Candidates(ctx) {
 		if err != nil {
@@ -472,16 +513,20 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 			}
 			// Headers are sent; the best we can do is a terminal
 			// error line (ParseExplore has made these unlikely).
-			_ = enc.Encode(map[string]string{"error": err.Error()})
+			line = append(line[:0], `{"error":`...)
+			line = appendJSONString(line, err.Error())
+			_, _ = dst.Write(append(line, '}', '\n'))
 			break
 		}
-		if err := enc.Encode(exploreLine(cand, req.ObjectiveName, objCols)); err != nil {
+		line = appendExploreLine(line[:0], cand, req.ObjectiveName, objCols)
+		if _, err := dst.Write(line); err != nil {
 			complete = false
 			break // write failure: client went away
 		}
-		// Flush each candidate so clients see results immediately;
-		// streaming beats buffering for multi-second explorations.
-		_ = rc.Flush()
+		if now := time.Now(); now.Sub(lastFlush) >= exploreFlushInterval {
+			_ = rc.Flush()
+			lastFlush = now
+		}
 	}
 	// Spill only a clean full stream: a torn or error-bearing body
 	// must never become a servable artifact.

@@ -3,6 +3,7 @@ package skyline
 import (
 	"bufio"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/dse"
+	"repro/internal/faultinject"
 	"repro/internal/units"
 )
 
@@ -267,7 +269,7 @@ func TestExploreStreamsAndDisconnectCancels(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The first line must be readable before the sweep finishes (the
-	// handler flushes per candidate); afterwards the exploration is
+	// handler flushes the first line at once); afterwards the exploration is
 	// still far from its 16000-candidate end.
 	br := bufio.NewReader(resp.Body)
 	line, err := br.ReadBytes('\n')
@@ -308,6 +310,58 @@ func TestExploreStreamsAndDisconnectCancels(t *testing.T) {
 	}
 	if n > baseline+1 { // allow one lingering http keep-alive goroutine
 		t.Errorf("goroutines after disconnect: %d, baseline %d", n, baseline)
+	}
+}
+
+// TestExploreStreamFlushesOnInterval pins the streaming flush budget.
+// Every scheduler chunk is slowed past exploreFlushInterval, so the
+// handler must flush again once the interval has passed: a line from
+// a later chunk reaches the client well before the response ends,
+// rather than only with the final flush.
+func TestExploreStreamFlushesOnInterval(t *testing.T) {
+	// The chunk fault fires on the parallel path only, and the
+	// per-request pool is capped at GOMAXPROCS.
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	// 64 candidates on 2 workers: grains of 8, each worker walking 4 of
+	// them in sequence, so the stream spans about 4 chunk delays.
+	cat := catalog.Synthetic(2, 4, 8)
+	srv := httptest.NewServer(NewServerWith(cat, Options{Cache: core.NewCache()}))
+	defer srv.Close()
+	const chunkDelay = 8 * exploreFlushInterval
+	defer faultinject.Enable(faultinject.SiteDSEChunk, faultinject.Fault{Latency: chunkDelay})()
+
+	resp, err := http.Get(srv.URL + "/explore?workers=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if got := resp.Header.Get("X-Explore-Workers"); got != "2" {
+		t.Fatalf("X-Explore-Workers = %q, want 2", got)
+	}
+	const grain = 8
+	br := bufio.NewReader(resp.Body)
+	var lines int
+	var laterChunkAt time.Time
+	for {
+		_, err := br.ReadBytes('\n')
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lines++; lines == grain+1 {
+			laterChunkAt = time.Now()
+		}
+	}
+	end := time.Now()
+	if lines != 64 {
+		t.Fatalf("streamed %d lines, want 64", lines)
+	}
+	if early := end.Sub(laterChunkAt); early < chunkDelay/2 {
+		t.Fatalf("line %d arrived %v before the end of the response, want at least %v: the stream did not flush after its first line", grain+1, early, chunkDelay/2)
 	}
 }
 

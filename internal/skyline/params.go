@@ -31,7 +31,9 @@
 //	                      pareto=velocity,power[,payload] (objective
 //	                      columns accepted there too). Without
 //	                      top/pareto, candidates stream incrementally in
-//	                      canonical order and a dropped connection
+//	                      canonical order (the first line is flushed
+//	                      immediately, later lines at most once per
+//	                      10 ms) and a dropped connection
 //	                      cancels the exploration's workers. workers=N
 //	                      sizes the request's worker pool, clamped to the
 //	                      server's per-request cap; the effective size is

@@ -413,13 +413,10 @@ func (s *Server) analysisFor(ctx context.Context, r *http.Request) (core.Analysi
 // the scale"; clients decode it as absent.
 type JSONFloat float64
 
-// MarshalJSON implements json.Marshaler.
+// MarshalJSON implements json.Marshaler with appendJSONFloat, the one
+// float format shared with the /explore line encoder.
 func (f JSONFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	if math.IsInf(v, 0) || math.IsNaN(v) {
-		return []byte("null"), nil
-	}
-	return json.Marshal(v)
+	return appendJSONFloat(nil, float64(f)), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler: null round-trips back to
