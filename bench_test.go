@@ -323,8 +323,7 @@ func dseBenchSpace(cat *catalog.Catalog) dse.Space {
 
 func benchEnumerate(b *testing.B, workers int) {
 	cat := catalog.Synthetic(5, 16, 16) // 1280 candidates
-	// CacheOff: measure the engine, not shared-cache hits.
-	e := dse.Explorer{Catalog: cat, Space: dseBenchSpace(cat), Workers: workers, Cache: core.CacheOff()}
+	e := dse.Explorer{Catalog: cat, Space: dseBenchSpace(cat), Workers: workers}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cands, err := e.Enumerate()
@@ -357,7 +356,7 @@ func BenchmarkEnumerateParallel(b *testing.B) { benchEnumerate(b, 0) }
 
 func benchEnumerateSkewed(b *testing.B, workers int) {
 	cat := catalog.SyntheticSkewed(5, 16, 16, 400) // 1280 candidates, heavy tail
-	e := dse.Explorer{Catalog: cat, Space: dseBenchSpace(cat), Workers: workers, Cache: core.CacheOff()}
+	e := dse.Explorer{Catalog: cat, Space: dseBenchSpace(cat), Workers: workers}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cands, err := e.Enumerate()
@@ -390,7 +389,7 @@ func BenchmarkEnumerateSkewedParallel(b *testing.B) { benchEnumerateSkewed(b, 0)
 
 func benchEnumerateAlgoHeavy(b *testing.B, workers int) {
 	cat := catalog.SyntheticAlgoHeavy(2, 4, 160) // 1280 candidates, algo-dominated
-	e := dse.Explorer{Catalog: cat, Space: dseBenchSpace(cat), Workers: workers, Cache: core.CacheOff()}
+	e := dse.Explorer{Catalog: cat, Space: dseBenchSpace(cat), Workers: workers}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cands, err := e.Enumerate()
@@ -419,7 +418,7 @@ func benchEnumerateMission(b *testing.B, objective string, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := dse.Explorer{Catalog: cat, Space: dseBenchSpace(cat), Workers: workers, Cache: core.CacheOff(), Objective: obj}
+	e := dse.Explorer{Catalog: cat, Space: dseBenchSpace(cat), Workers: workers, Objective: obj}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cands, err := e.Enumerate()
@@ -512,7 +511,7 @@ func BenchmarkSweepPayloadSkewedParallel(b *testing.B) { benchSweepPayloadSkewed
 // constraint filter applied by the consumer.
 func BenchmarkEnumerateStream(b *testing.B) {
 	cat := catalog.Synthetic(5, 16, 16)
-	e := dse.Explorer{Catalog: cat, Space: dseBenchSpace(cat), Cache: core.CacheOff()}
+	e := dse.Explorer{Catalog: cat, Space: dseBenchSpace(cat)}
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -588,7 +587,7 @@ func BenchmarkDSEEnumerate(b *testing.B) {
 		Computes:   []string{catalog.ComputeNCS, catalog.ComputeTX2, catalog.ComputeRasPi4},
 		Algorithms: []string{catalog.AlgoDroNet, catalog.AlgoTrailNet, catalog.AlgoCAD2RL, catalog.AlgoVGG16},
 	}
-	e := dse.Explorer{Catalog: cat, Space: space, Cache: core.CacheOff()}
+	e := dse.Explorer{Catalog: cat, Space: space}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Enumerate(); err != nil {

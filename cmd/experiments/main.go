@@ -119,9 +119,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 	if *cacheStats {
-		// The exploration-driven experiments share core.SharedCache
-		// (the dse.Explorer default); the hit rate shows how much of the
-		// run was memoized.
+		// No experiment analyzes through core.SharedCache since the
+		// exploration engine stopped memoizing per candidate, so these
+		// gauges read zero; the flag stays for scripts that pass it.
 		st := core.SharedCache().Stats()
 		fmt.Fprintf(stdout, "cache: %d/%d entries across %d shards, %d hits / %d misses (%.1f%% hit rate, %d coalesced), %d evictions\n",
 			st.Entries, st.Capacity, st.Shards, st.Hits, st.Misses, 100*st.HitRate(), st.Coalesced, st.Evictions)

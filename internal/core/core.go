@@ -26,8 +26,8 @@
 //
 // Cache (memo.go) memoizes analyses process-wide with sharding,
 // segmented-LRU eviction and context-aware singleflight miss
-// coalescing; its AnalyzeFunc variants let a factored caller fill
-// misses via the partial combine instead of the full Analyze.
+// coalescing, for callers that analyze the same configuration
+// repeatedly (the Skyline page endpoints).
 //
 // The combine's allocation discipline (//reprolint:hotpath on
 // AnalyzeWithPartial[Into]) and the package's context-flow contract

@@ -13,15 +13,12 @@ import (
 )
 
 // Cache memoizes Analyze results keyed on a ScoreKey — the full Config
-// value plus the objective (and seed) it was scored under — so repeated
-// analyses of the same resolved configuration — a Skyline server
-// replaying popular requests, or an Explorer re-running a design space
-// after a constraint tweak — pay the model cost once. The plain
-// Analyze/Lookup entry points key on the zero objective; the *Scored
-// variants carry an objective's metric columns through the same entry,
-// so a configuration scored under two different objectives (or two
-// Monte-Carlo seeds) occupies two independent entries and results stay
-// byte-deterministic.
+// value plus an objective and seed, zero for every entry the cache
+// fills — so repeated analyses of the same resolved configuration (a
+// Skyline server replaying popular /api/analyze and /plot.svg
+// requests) pay the model cost once. The exploration engine does not
+// use it: recomputing a candidate from precomputed partials is cheaper
+// than a probe.
 //
 // The cache is sharded: the Config hashes to one of a power-of-two
 // number of independently locked segments, so concurrent exploration
@@ -37,10 +34,8 @@ import (
 // identical requests computes once and shares the result; with
 // AnalyzeContext the coalesced wait is context-aware — a follower
 // whose own request dies abandons the wait while the leader completes
-// and fills. The AnalyzeFunc variants accept a caller-supplied miss
-// fill (the exploration engine fills via its precomputed-partial
-// combine), and Lookup probes the hit path without committing to a
-// fill. Hits, misses, coalesced waits and evictions are counted; Stats
+// and fills. Lookup probes the hit path without committing to a fill.
+// Hits, misses, coalesced waits and evictions are counted; Stats
 // returns a snapshot.
 //
 // Cached Analysis values are shared between callers: treat them as
@@ -61,13 +56,10 @@ type Cache struct {
 	shards []shard
 }
 
-// ScoreKey identifies one cached scored analysis: the configuration
-// plus the objective that scored it. A Config analyzed under a
-// different objective — or a Monte-Carlo objective re-run under a
-// different seed — is a different cache entry, so cached metric columns
-// can never leak between objectives. The zero Objective/Seed is the
-// plain (unscored) F-1 analysis, which every Config-keyed entry point
-// uses.
+// ScoreKey is the cache's entry key: the configuration plus the
+// objective and seed it was scored under. The zero Objective/Seed is
+// the plain (unscored) F-1 analysis, the only kind any entry point
+// fills; LookupScored probes the other shapes.
 type ScoreKey struct {
 	Cfg Config
 	// Objective names the evaluator ("" = plain analysis, no metrics).
@@ -106,20 +98,16 @@ type shard struct {
 // its key, so every follower would have hit the same error — but,
 // as ever, never cached.
 type flight struct {
-	done    chan struct{}
-	an      Analysis
-	metrics []float64
-	err     error
+	done chan struct{}
+	an   Analysis
+	err  error
 }
 
 // entry is one memoized analysis, linked into exactly one of its
-// shard's two LRU lists. metrics is the objective's column values (nil
-// for the plain analysis); like the Analysis it is shared between
-// callers and must be treated as read-only.
+// shard's two LRU lists.
 type entry struct {
 	key        ScoreKey
 	an         Analysis
-	metrics    []float64
 	prev, next *entry
 	protected  bool
 	// ref is the protected segment's second-chance bit: set on every
@@ -291,8 +279,7 @@ var analyzeFn = Analyze
 //
 //reprolint:ctxshim documented no-context convenience wrapper; request paths use AnalyzeContext
 func (c *Cache) Analyze(cfg Config) (Analysis, error) {
-	an, _, err := c.analyze(context.Background(), ScoreKey{Cfg: cfg}, nil)
-	return an, err
+	return c.analyze(context.Background(), ScoreKey{Cfg: cfg})
 }
 
 // AnalyzeContext is Analyze with a context governing the singleflight
@@ -304,69 +291,23 @@ func (c *Cache) Analyze(cfg Config) (Analysis, error) {
 // are pure CPU with no cancellation points, and an abandoned fill would
 // strand the coalesced followers.)
 func (c *Cache) AnalyzeContext(ctx context.Context, cfg Config) (Analysis, error) {
-	an, _, err := c.analyze(ctx, ScoreKey{Cfg: cfg}, nil)
-	return an, err
-}
-
-// AnalyzeFunc is Analyze with a caller-supplied fill: on a miss the
-// cache computes via fill instead of the full Analyze, so callers
-// holding a precomputed ModelPartial fill misses with the cheap
-// AnalyzeWithPartial combine. fill must be equivalent to Analyze(cfg) —
-// AnalyzeWithPartial over partials assembled from the same
-// configuration is, bit for bit — since its result is cached under cfg
-// and shared with every future caller. Misses still coalesce: one fill
-// runs, followers share it.
-//
-//reprolint:ctxshim documented no-context convenience wrapper; request paths use AnalyzeContextFunc
-func (c *Cache) AnalyzeFunc(cfg Config, fill func() (Analysis, error)) (Analysis, error) {
-	an, _, err := c.analyze(context.Background(), ScoreKey{Cfg: cfg}, plainFill(fill))
-	return an, err
-}
-
-// AnalyzeContextFunc combines AnalyzeContext and AnalyzeFunc: a
-// caller-supplied miss fill with a context-governed coalesced wait.
-func (c *Cache) AnalyzeContextFunc(ctx context.Context, cfg Config, fill func() (Analysis, error)) (Analysis, error) {
-	an, _, err := c.analyze(ctx, ScoreKey{Cfg: cfg}, plainFill(fill))
-	return an, err
-}
-
-// AnalyzeScoredContextFunc is AnalyzeContextFunc over a full ScoreKey:
-// on a miss of (Config, objective, seed) the fill computes the analysis
-// together with the objective's metric columns, and both are cached and
-// shared — like the Analysis, the returned metrics slice is read-only.
-// fill must be deterministic in the key, since its result is memoized
-// under it and served to every future caller.
-func (c *Cache) AnalyzeScoredContextFunc(ctx context.Context, key ScoreKey, fill func() (Analysis, []float64, error)) (Analysis, []float64, error) {
-	return c.analyze(ctx, key, fill)
-}
-
-// plainFill adapts an analysis-only miss fill to the scored shape (nil
-// metrics). A nil fill stays nil so analyze keeps its analyzeFn default.
-func plainFill(fill func() (Analysis, error)) func() (Analysis, []float64, error) {
-	if fill == nil {
-		return nil
-	}
-	return func() (Analysis, []float64, error) {
-		an, err := fill()
-		return an, nil, err
-	}
+	return c.analyze(ctx, ScoreKey{Cfg: cfg})
 }
 
 // Lookup peeks for a memoized analysis: on a hit it counts the hit,
 // refreshes cfg's eviction standing and returns the analysis; on an
-// absence it returns false without counting a miss — the expected
-// follow-up (AnalyzeFunc or a sibling) records the miss when it fills.
-// It exists so hot loops can keep their miss-fill closure off the hit
-// path: probe first, and only on absence build the closure and call
-// AnalyzeContextFunc.
+// absence it returns false without counting a miss — a follow-up
+// AnalyzeContext records the miss when it fills.
 func (c *Cache) Lookup(cfg Config) (Analysis, bool) {
 	an, _, ok := c.LookupScored(ScoreKey{Cfg: cfg})
 	return an, ok
 }
 
-// LookupScored is Lookup over a full ScoreKey: a hit returns the
-// analysis together with the objective's cached metric columns (nil for
-// the zero objective). The metrics slice is shared — read-only.
+// LookupScored is Lookup over a full ScoreKey. No entry point fills a
+// scored key any more (the exploration engine scores every candidate
+// afresh), so a key with an objective or seed never hits and the
+// returned metrics are always nil; the method remains as the
+// per-candidate probe cost a scored replay measures.
 func (c *Cache) LookupScored(key ScoreKey) (Analysis, []float64, bool) {
 	if c == nil || len(c.shards) == 0 || !memoizable(key.Cfg) {
 		return Analysis{}, nil, false
@@ -379,29 +320,25 @@ func (c *Cache) LookupScored(key ScoreKey) (Analysis, []float64, bool) {
 		return Analysis{}, nil, false
 	}
 	sh.touch(e)
-	an, metrics := e.an, e.metrics
+	an := e.an
 	sh.mu.Unlock()
-	return an, metrics, true
+	return an, nil, true
 }
 
-// analyze is the shared implementation behind the Analyze* variants.
-// A nil fill means the package-level analyzeFn (i.e. the full Analyze,
-// reassignable only by tests), which never produces metrics.
-func (c *Cache) analyze(ctx context.Context, key ScoreKey, fill func() (Analysis, []float64, error)) (Analysis, []float64, error) {
+// analyze is the shared implementation behind Analyze and
+// AnalyzeContext; misses fill through the package-level analyzeFn
+// (i.e. the full Analyze, reassignable only by tests).
+func (c *Cache) analyze(ctx context.Context, key ScoreKey) (Analysis, error) {
 	if c == nil || len(c.shards) == 0 || !memoizable(key.Cfg) {
-		if fill != nil {
-			return fill()
-		}
-		an, err := Analyze(key.Cfg)
-		return an, nil, err
+		return Analyze(key.Cfg)
 	}
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	if e, ok := sh.entries[key]; ok {
 		sh.touch(e)
-		an, metrics := e.an, e.metrics
+		an := e.an
 		sh.mu.Unlock()
-		return an, metrics, nil
+		return an, nil
 	}
 	sh.misses++
 	if f, ok := sh.inflight[key]; ok {
@@ -414,9 +351,9 @@ func (c *Cache) analyze(ctx context.Context, key ScoreKey, fill func() (Analysis
 		sh.mu.Unlock()
 		select {
 		case <-f.done:
-			return f.an, f.metrics, f.err
+			return f.an, f.err
 		case <-ctx.Done():
-			return Analysis{}, nil, ctx.Err()
+			return Analysis{}, ctx.Err()
 		}
 	}
 	// errFlightAbandoned is what followers see if the leader never
@@ -435,9 +372,7 @@ func (c *Cache) analyze(ctx context.Context, key ScoreKey, fill func() (Analysis
 		sh.mu.Lock()
 		delete(sh.inflight, key)
 		if executed {
-			// Fills counts the misses this leader actually computed —
-			// the engine-evaluation counter behind the persistent result
-			// store's "warm restart never re-runs the engine" proof.
+			// Fills counts the misses this leader actually computed.
 			sh.fills++
 		}
 		if f.err == nil {
@@ -445,7 +380,7 @@ func (c *Cache) analyze(ctx context.Context, key ScoreKey, fill func() (Analysis
 			// exist if the key was evicted and re-inserted around an
 			// earlier flight; keep the incumbent's LRU position.
 			if _, ok := sh.entries[key]; !ok {
-				sh.insert(key, f.an, f.metrics)
+				sh.insert(key, f.an)
 			}
 		}
 		sh.mu.Unlock()
@@ -463,14 +398,11 @@ func (c *Cache) analyze(ctx context.Context, key ScoreKey, fill func() (Analysis
 	// would publish success to its followers.
 	if ferr := faultinject.Fire(faultinject.SiteCacheFill); ferr != nil {
 		f.err = ferr
-	} else if fill != nil {
-		executed = true
-		f.an, f.metrics, f.err = fill()
 	} else {
 		executed = true
 		f.an, f.err = analyzeFn(key.Cfg)
 	}
-	return f.an, f.metrics, f.err
+	return f.an, f.err
 }
 
 // errFlightAbandoned surfaces to singleflight followers whose leader
@@ -528,7 +460,7 @@ func (sh *shard) oldestProtected() *entry {
 
 // insert adds a new probationary entry, evicting one victim first when
 // the shard is full. Callers hold the shard lock.
-func (sh *shard) insert(key ScoreKey, an Analysis, metrics []float64) {
+func (sh *shard) insert(key ScoreKey, an Analysis) {
 	if sh.capacity == 0 {
 		return
 	}
@@ -543,7 +475,7 @@ func (sh *shard) insert(key ScoreKey, an Analysis, metrics []float64) {
 		delete(sh.entries, victim.key)
 		sh.evictions++
 	}
-	e := &entry{key: key, an: an, metrics: metrics}
+	e := &entry{key: key, an: an}
 	sh.entries[key] = e
 	sh.probation.pushFront(e)
 }
@@ -583,10 +515,8 @@ type CacheStats struct {
 	Coalesced uint64 `json:"coalesced"`
 	Evictions uint64 `json:"evictions"`
 	// Fills counts the misses whose singleflight leader actually ran
-	// the analysis (or its caller-supplied fill) — i.e. real engine
-	// evaluations. It excludes coalesced waits and injected fill
-	// faults, so a server answering entirely from caches and the
-	// persistent result store shows Fills = 0.
+	// the analysis. It excludes coalesced waits and injected fill
+	// faults.
 	Fills uint64 `json:"fills"`
 }
 

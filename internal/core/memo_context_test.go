@@ -102,96 +102,6 @@ func TestCacheAnalyzeContextUncancelledMatchesAnalyze(t *testing.T) {
 	}
 }
 
-// TestCacheAnalyzeFuncFillsOnMiss: the caller-supplied fill runs on the
-// miss, its result is cached under cfg, and subsequent plain Analyze
-// calls hit it.
-func TestCacheAnalyzeFuncFillsOnMiss(t *testing.T) {
-	c := NewCache()
-	cfg := memoTestConfig("func-fill", 320)
-	var fills atomic.Int64
-	fill := func() (Analysis, error) {
-		fills.Add(1)
-		// The exploration engine fills via AnalyzeWithPartial; the
-		// equivalent-computation contract is what matters here.
-		p := PrecomputeModel(cfg)
-		return AnalyzeWithPartial(&p, cfg.Name,
-			PrecomputeStage(cfg.SensorRate), PrecomputeStage(cfg.ComputeRate), PrecomputeStage(cfg.ControlRate))
-	}
-	first, err := c.AnalyzeFunc(cfg, fill)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fills.Load() != 1 {
-		t.Fatalf("fill ran %d times on the first miss, want 1", fills.Load())
-	}
-	// Hit path: neither fill nor the full analysis runs again, and the
-	// plain and fill variants see the same entry.
-	second, err := c.Analyze(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fills.Load() != 1 {
-		t.Fatalf("fill re-ran on a hit (%d runs)", fills.Load())
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatal("fill-variant and plain-variant results diverge")
-	}
-	want, err := Analyze(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, want) {
-		t.Fatal("AnalyzeFunc result diverges from direct Analyze")
-	}
-}
-
-// TestCacheAnalyzeFuncErrorsNotCached mirrors the plain-variant
-// error-caching contract for caller-supplied fills.
-func TestCacheAnalyzeFuncErrorsNotCached(t *testing.T) {
-	c := NewCache()
-	cfg := memoTestConfig("func-err", 330)
-	boom := errors.New("fill failed")
-	if _, err := c.AnalyzeFunc(cfg, func() (Analysis, error) { return Analysis{}, boom }); !errors.Is(err, boom) {
-		t.Fatalf("got %v, want the fill's error", err)
-	}
-	if c.contains(cfg) {
-		t.Fatal("failed fill was cached")
-	}
-	// A later successful fill works.
-	if _, err := c.AnalyzeFunc(cfg, func() (Analysis, error) { return Analyze(cfg) }); err != nil {
-		t.Fatal(err)
-	}
-	if !c.contains(cfg) {
-		t.Fatal("successful retry was not cached")
-	}
-}
-
-// TestCacheAnalyzeFuncPassThrough: nil caches and the CacheOff
-// pass-through still run the fill (never the full Analyze).
-func TestCacheAnalyzeFuncPassThrough(t *testing.T) {
-	cfg := memoTestConfig("func-off", 340)
-	for _, c := range []*Cache{nil, CacheOff()} {
-		var fills atomic.Int64
-		an, err := c.AnalyzeFunc(cfg, func() (Analysis, error) {
-			fills.Add(1)
-			return Analyze(cfg)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fills.Load() != 1 {
-			t.Fatalf("pass-through ran fill %d times, want 1", fills.Load())
-		}
-		want, _ := Analyze(cfg)
-		if !reflect.DeepEqual(an, want) {
-			t.Fatal("pass-through fill result diverges")
-		}
-		if c.Len() != 0 {
-			t.Fatal("pass-through cache retained an entry")
-		}
-	}
-}
-
 // TestCacheLookup: hits return the entry and count as hits; absences
 // return false without counting a miss (the follow-up fill records it).
 func TestCacheLookup(t *testing.T) {

@@ -174,8 +174,7 @@ func TestCacheStatsCounters(t *testing.T) {
 		t.Fatalf("stats = %+v, want 3 hits / 3 misses / 0 evictions", st)
 	}
 	// Every miss here ran its own analysis, so fills track misses; a
-	// hit never fills. (Fills is the engine-evaluation counter the
-	// persistent-store warm-restart proof watches.)
+	// hit never fills.
 	if st.Fills != 3 {
 		t.Fatalf("fills = %d, want 3 (one per uncoalesced miss)", st.Fills)
 	}

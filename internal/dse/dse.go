@@ -36,13 +36,11 @@
 //     algorithm) and one core.Stage per distinct sensor, algorithm-on-
 //     compute and control rate. Building a candidate is then index math
 //     plus the allocation-free core.AnalyzeWithPartial combine —
-//     bit-identical to a from-scratch core.Analyze. An optional
-//     core.Cache memoizes repeated analyses, probed allocation-free on
-//     hits and filled through the partial combine on misses — with
-//     context-aware singleflight, so concurrent explorations of
-//     overlapping spaces analyze each configuration once, and a
-//     cancelled request abandons a coalesced wait instead of blocking
-//     on another request's analysis.
+//     bit-identical to a from-scratch core.Analyze. The plan memoizes
+//     nothing per candidate: the combine is cheaper than a probe of a
+//     shared cache, so reuse across requests happens a level up, where
+//     the Skyline server's persistent result store replays whole
+//     responses.
 //   - Sweep and GridSweep reuse the same factoring per point: a swept
 //     rate rebuilds one Stage, a swept range goes through
 //     ModelPartial.WithRange (reusing the a_max lookup), and only a
@@ -53,8 +51,8 @@
 //     packages the F-1 model abstracts away — endurance, battery sag,
 //     thermal/payload packaging, TMR redundancy, flight simulation,
 //     pipeline jitter — emitting named metric columns that Rank, TopK
-//     and ParetoFront consume and the Skyline server streams. Scored
-//     results memoize under (config, objective, seed); Monte-Carlo
+//     and ParetoFront consume and the Skyline server streams. Only
+//     candidates that pass the constraints are scored; Monte-Carlo
 //     evaluators derive each candidate's seed from its identity, so
 //     parallel runs reproduce serial ones bit for bit. See
 //     docs/OBJECTIVES.md for every objective, its columns, units and

@@ -30,26 +30,18 @@ type Explorer struct {
 	// candidates a worker takes from its deque at once; 0 picks a size
 	// that rebalances skewed cells without measurable claim overhead.
 	ChunkSize int
-	// Cache memoizes analyses across explorations (e.g. a server
-	// re-exploring after a constraint tweak). Nil selects the
-	// process-wide core.SharedCache; core.CacheOff() disables
-	// memoization entirely (e.g. a benchmark isolating the engine).
+	// Cache is not consulted: recomputing a candidate from the plan's
+	// partials is cheaper than probing a shared cache, and whole-request
+	// reuse is the Skyline server's persistent result store's job.
+	//
+	// Deprecated: ignored; the plan no longer memoizes per candidate.
 	Cache *core.Cache
 	// Objective optionally scores each surviving candidate with a
 	// mission-level evaluator (see NewObjective and docs/OBJECTIVES.md):
 	// the plan composes it after the partial combine and the constraint
-	// check, fills Candidate.Metrics with its columns, and memoizes
-	// (analysis, metrics) together under a (Config, objective, seed)
-	// cache key. Nil explores the plain F-1 analysis only.
+	// check and fills Candidate.Metrics with its columns. Nil explores
+	// the plain F-1 analysis only.
 	Objective Evaluator
-}
-
-// cache resolves the effective analysis cache.
-func (e Explorer) cache() *core.Cache {
-	if e.Cache != nil {
-		return e.Cache
-	}
-	return core.SharedCache()
 }
 
 // workers resolves the effective pool size.
@@ -78,11 +70,7 @@ func (e Explorer) grain(n, workers int) int {
 // check: no catalog access, no acceleration-model evaluation, no
 // knee/roof recomputation.
 type plan struct {
-	cons  Constraints
-	cache *core.Cache
-	// memoized is whether cache actually memoizes; when false the
-	// candidates skip cache plumbing and combine partials directly.
-	memoized bool
+	cons Constraints
 	// obj is the optional mission-level evaluator, with its registry
 	// name, base Monte-Carlo seed (0 = deterministic) and column set
 	// resolved once at plan time.
@@ -139,11 +127,14 @@ func (p *plan) total() int { return len(p.cells) * len(p.sensors) }
 // engine, which hit them on the first analysis); a registered
 // algorithm without a performance-table row on a given compute is
 // silently skipped — that combination is not a buildable system.
-func newPlan(cat *catalog.Catalog, space Space, cons Constraints, cache *core.Cache, obj Evaluator) (*plan, error) {
+func newPlan(cat *catalog.Catalog, space Space, cons Constraints, obj Evaluator) (*plan, error) {
+	if err := faultinject.Fire(faultinject.SiteDSEPlan); err != nil {
+		return nil, fmt.Errorf("dse: planning exploration: %w", err)
+	}
 	if len(space.UAVs) == 0 || len(space.Computes) == 0 || len(space.Algorithms) == 0 {
 		return nil, fmt.Errorf("dse: space must name at least one UAV, compute and algorithm")
 	}
-	p := &plan{cons: cons, cache: cache}
+	p := &plan{cons: cons}
 	if obj != nil {
 		p.obj = obj
 		p.objName = obj.Name()
@@ -259,7 +250,6 @@ func newPlan(cat *catalog.Catalog, space Space, cons Constraints, cache *core.Ca
 		p.cells[i].name = all[offs[i]:offs[i+1]]
 	}
 	p.precompute(pairUsed)
-	p.memoized = p.cache.Memoizes()
 	return p, nil
 }
 
@@ -322,11 +312,8 @@ func (p *plan) precompute(pairUsed []bool) {
 // hand it the output slot so a ~half-kilobyte Candidate is written
 // once, not copied through return values. ok is false when the
 // constraints reject it (the slot's contents are then unspecified).
-// arena, when non-nil, supplies the Ceilings backing for non-memoized
-// candidates (one allocation per block instead of per candidate); the
-// memoized path never uses it — a cached entry must own an exact-size
-// slice, not pin a whole block. ctx governs only a memoized
-// candidate's coalesced wait on another caller's in-flight analysis;
+// arena supplies the Ceilings backing (one allocation per block
+// instead of per candidate). ctx reaches only the objective evaluator;
 // the combine itself is pure arithmetic with no cancellation points.
 //
 //reprolint:hotpath
@@ -338,118 +325,34 @@ func (p *plan) candidateInto(ctx context.Context, i int, cand *Candidate, arena 
 	uav := &p.uavs[cl.u]
 	comp := &p.computes[cl.c]
 	mp := p.partials[(cl.u*len(p.computes)+cl.c)*nS+si]
-	sensorStage := p.sensorStages[cl.u*nS+si]
-	controlStage := p.controlStages[cl.u]
-	if p.obj != nil {
-		return p.candidateScoredInto(ctx, cl, sc, uav, comp, mp, sensorStage, controlStage, cand, arena)
-	}
-	// The caller's slot may have carried a scored candidate (the serial
-	// paths reuse one); a plain exploration must not leak stale metrics.
-	cand.Metrics = nil
-	if p.memoized {
-		// Probe before building the fill closure: the hit path — a
-		// server re-exploring a popular space — allocates nothing.
-		cfg := mp.Config(cl.name, sensorStage, cl.stage, controlStage)
-		var hit bool
-		cand.Analysis, hit = p.cache.Lookup(cfg)
-		if !hit {
-			// Clone the name before the entry can be inserted: cl.name is
-			// a substring of the plan-wide name buffer, and a cached
-			// Config holding it would pin that entire buffer in the
-			// process-wide cache for as long as the entry lives. String
-			// keys compare by content, so later Lookups with the
-			// substring name still hit the clone-keyed entry.
-			cfg.Name = strings.Clone(cl.name)
-			name := cfg.Name
-			//reprolint:allow hotpathalloc the fill closure is built only on the cache-miss path, which allocates anyway
-			cand.Analysis, err = p.cache.AnalyzeContextFunc(ctx, cfg, func() (core.Analysis, error) {
-				return core.AnalyzeWithPartial(mp, name, sensorStage, cl.stage, controlStage)
-			})
-		}
-	} else {
-		err = core.AnalyzeWithPartialInto(mp, cl.name, sensorStage, cl.stage, controlStage, arena, &cand.Analysis)
-	}
-	if err != nil {
+	if err = core.AnalyzeWithPartialInto(mp, cl.name, p.sensorStages[cl.u*nS+si], cl.stage, p.controlStages[cl.u], arena, &cand.Analysis); err != nil {
 		return false, fmt.Errorf("dse: analyzing %s/%s/%s: %w", uav.Name, comp.Name, cl.algo, err)
 	}
 	cand.Selection = catalog.Selection{UAV: uav.Name, Compute: comp.Name, Algorithm: cl.algo, Sensor: sc.name}
 	cand.Power = comp.TDP
-	return p.cons.Allows(*cand), nil
-}
-
-// candidateScoredInto is the objective path of candidateInto: the
-// partial combine produces the analysis, the constraints prune, and
-// only surviving candidates pay the evaluator — a pruned candidate
-// never runs a Monte-Carlo simulation and never occupies a scored
-// cache entry. With memoization on, (analysis, metrics) are cached
-// together under the (Config, objective, seed) ScoreKey, so re-
-// exploring a popular space under the same objective replays from the
-// cache, while the same Config under another objective — or another
-// seed — fills its own entry. Monte-Carlo evaluators get a
-// per-candidate seed mixed from the base seed and the candidate
-// identity, which is what keeps results identical across worker counts
-// and steal interleavings.
-//
-//reprolint:hotpath
-func (p *plan) candidateScoredInto(ctx context.Context, cl *cell, sc *sensorChoice, uav *catalog.UAV, comp *catalog.Compute, mp *core.ModelPartial, sensorStage, controlStage core.Stage, cand *Candidate, arena *[]core.Ceiling) (ok bool, err error) {
+	// The caller's slot may have carried a scored candidate (the serial
+	// paths reuse one); a plain exploration must not leak stale metrics.
+	cand.Metrics = nil
+	if !p.cons.Allows(*cand) {
+		return false, nil
+	}
+	if p.obj == nil {
+		return true, nil
+	}
+	// Only survivors pay the evaluator: a constraint-pruned candidate
+	// never runs a Monte-Carlo simulation. Monte-Carlo evaluators get a
+	// per-candidate seed mixed from the base seed and the candidate
+	// identity, which is what keeps results identical across worker
+	// counts and steal interleavings.
 	var seed int64
 	if p.objSeed != 0 {
 		seed = candSeed(p.objSeed, cl.name, sc.name)
 	}
-	cand.Selection = catalog.Selection{UAV: uav.Name, Compute: comp.Name, Algorithm: cl.algo, Sensor: sc.name}
-	cand.Power = comp.TDP
-	if !p.memoized {
-		if err = core.AnalyzeWithPartialInto(mp, cl.name, sensorStage, cl.stage, controlStage, arena, &cand.Analysis); err != nil {
-			return false, fmt.Errorf("dse: analyzing %s/%s/%s: %w", uav.Name, comp.Name, cl.algo, err)
-		}
-		if !p.cons.Allows(*cand) {
-			return false, nil
-		}
-		metrics := make([]float64, len(p.objCols))
-		if err = p.obj.Evaluate(ctx, cand, seed, metrics); err != nil {
-			return false, fmt.Errorf("dse: objective %s on %s/%s/%s: %w", p.objName, uav.Name, comp.Name, cl.algo, err)
-		}
-		cand.Metrics = metrics
-		return true, nil
-	}
-	// Probe before any allocation: the hit path — a server re-exploring
-	// a popular space under one objective — costs a lookup.
-	key := core.ScoreKey{
-		Cfg:       mp.Config(cl.name, sensorStage, cl.stage, controlStage),
-		Objective: p.objName,
-		Seed:      seed,
-	}
-	var hit bool
-	if cand.Analysis, cand.Metrics, hit = p.cache.LookupScored(key); hit {
-		return p.cons.Allows(*cand), nil
-	}
-	// Miss: combine first, outside the cache, so constraint-pruned
-	// candidates never pay the evaluator. The name is cloned before the
-	// analysis can reach the cache — cl.name is a substring of the
-	// plan-wide name buffer, and a cached key holding it would pin that
-	// whole buffer (see candidateInto).
-	name := strings.Clone(cl.name)
-	cand.Analysis, err = core.AnalyzeWithPartial(mp, name, sensorStage, cl.stage, controlStage)
-	if err != nil {
-		return false, fmt.Errorf("dse: analyzing %s/%s/%s: %w", uav.Name, comp.Name, cl.algo, err)
-	}
-	if !p.cons.Allows(*cand) {
-		return false, nil
-	}
-	key.Cfg.Name = name
-	an := cand.Analysis
-	//reprolint:allow hotpathalloc the fill closure is built only on the cache-miss path, which allocates anyway
-	cand.Analysis, cand.Metrics, err = p.cache.AnalyzeScoredContextFunc(ctx, key, func() (core.Analysis, []float64, error) {
-		scored := Candidate{Selection: cand.Selection, Analysis: an, Power: comp.TDP}
-		metrics := make([]float64, len(p.objCols))
-		if err := p.obj.Evaluate(ctx, &scored, seed, metrics); err != nil {
-			return core.Analysis{}, nil, err
-		}
-		return an, metrics, nil
-	})
-	if err != nil {
+	metrics := make([]float64, len(p.objCols))
+	if err = p.obj.Evaluate(ctx, cand, seed, metrics); err != nil {
 		return false, fmt.Errorf("dse: objective %s on %s/%s/%s: %w", p.objName, uav.Name, comp.Name, cl.algo, err)
 	}
+	cand.Metrics = metrics
 	return true, nil
 }
 
@@ -479,16 +382,10 @@ func (p *plan) processChunkBody(ctx context.Context, start, end int) ([]Candidat
 	out := make([]Candidate, 0, end-start)
 	// One Ceilings block per chunk (up to 3 per candidate): the chunk's
 	// survivors collectively own it, exactly like the out slice itself.
-	// The memoized path allocates exact-size slices instead (a cached
-	// entry must not pin a block), so skip the arena there.
-	var arena *[]core.Ceiling
-	if !p.memoized {
-		// Capped: the serial ExploreContext path routes the whole space
-		// through one chunk, and the combine rolls over to fresh blocks
-		// anyway when a block fills.
-		a := make([]core.Ceiling, 0, 3*min(end-start, 1024))
-		arena = &a
-	}
+	// Capped: the serial ExploreContext path routes the whole space
+	// through one chunk, and the combine rolls over to fresh blocks
+	// anyway when a block fills.
+	arena := make([]core.Ceiling, 0, 3*min(end-start, 1024))
 	for i := start; i < end; i++ {
 		select {
 		case <-done:
@@ -498,7 +395,7 @@ func (p *plan) processChunkBody(ctx context.Context, start, end int) ([]Candidat
 		// Extend first and analyze into the new slot, truncating on a
 		// rejection: survivors are written in place, never copied.
 		out = out[:len(out)+1]
-		ok, err := p.candidateInto(ctx, i, &out[len(out)-1], arena)
+		ok, err := p.candidateInto(ctx, i, &out[len(out)-1], &arena)
 		if err != nil {
 			return out[:len(out)-1], err
 		}
@@ -521,7 +418,7 @@ func (e Explorer) Candidates(ctx context.Context) iter.Seq2[Candidate, error] {
 			//reprolint:allow ctxflow nil-ctx compatibility guard, documented as running uncancellable
 			ctx = context.Background()
 		}
-		p, err := newPlan(e.Catalog, e.Space, e.Constraints, e.cache(), e.Objective)
+		p, err := newPlan(e.Catalog, e.Space, e.Constraints, e.Objective)
 		if err != nil {
 			yield(Candidate{}, err)
 			return
@@ -535,15 +432,10 @@ func (e Explorer) Candidates(ctx context.Context) iter.Seq2[Candidate, error] {
 		if workers == 1 || n <= grain {
 			done := ctx.Done()
 			var cand Candidate
-			// Block-granular arena (non-memoized only): yielded
-			// candidates may be retained by the consumer, so exhausted
-			// blocks are simply left to them and fresh ones started
-			// (inside the combine).
-			var arena *[]core.Ceiling
-			if !p.memoized {
-				a := make([]core.Ceiling, 0, 3*min(n, 1024))
-				arena = &a
-			}
+			// Block-granular arena: yielded candidates may be retained
+			// by the consumer, so exhausted blocks are simply left to
+			// them and fresh ones started (inside the combine).
+			arena := make([]core.Ceiling, 0, 3*min(n, 1024))
 			for i := 0; i < n; i++ {
 				select {
 				case <-done:
@@ -551,7 +443,7 @@ func (e Explorer) Candidates(ctx context.Context) iter.Seq2[Candidate, error] {
 					return
 				default:
 				}
-				ok, err := p.candidateInto(ctx, i, &cand, arena)
+				ok, err := p.candidateInto(ctx, i, &cand, &arena)
 				if err != nil {
 					yield(Candidate{}, err)
 					return
@@ -586,7 +478,7 @@ func (e Explorer) ExploreContext(ctx context.Context) ([]Candidate, error) {
 		ctx = context.Background()
 	}
 	var out []Candidate
-	p, err := newPlan(e.Catalog, e.Space, e.Constraints, e.cache(), e.Objective)
+	p, err := newPlan(e.Catalog, e.Space, e.Constraints, e.Objective)
 	if err != nil {
 		return nil, err
 	}

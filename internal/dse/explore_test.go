@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/units"
 )
 
@@ -161,54 +160,6 @@ func TestCandidatesEarlyBreak(t *testing.T) {
 			t.Fatalf("early break at %d collected %d", stop, len(got))
 		}
 		requireEqualCandidates(t, full[:len(got)], got)
-	}
-}
-
-func TestExplorerSharedCache(t *testing.T) {
-	cat := catalog.Synthetic(2, 5, 5)
-	cache := core.NewCache()
-	e := Explorer{Catalog: cat, Space: synthSpace(cat), Workers: 4, ChunkSize: 3, Cache: cache}
-	first, err := e.Enumerate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cache.Len() == 0 {
-		t.Fatal("cache stayed empty")
-	}
-	second, err := e.Enumerate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualCandidates(t, first, second)
-	// And against an uncached run.
-	plain, err := Explorer{Catalog: cat, Space: e.Space, Workers: 1, Cache: core.CacheOff()}.Enumerate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualCandidates(t, plain, second)
-}
-
-func TestExplorerCacheDefaults(t *testing.T) {
-	// A default Explorer joins the process-wide cache; an explicit cache
-	// wins; core.CacheOff opts out of memoization entirely.
-	if (Explorer{}).cache() != core.SharedCache() {
-		t.Error("nil Cache did not resolve to core.SharedCache")
-	}
-	own := core.NewCacheLimit(16)
-	if (Explorer{Cache: own}).cache() != own {
-		t.Error("explicit cache not honored")
-	}
-	off := core.CacheOff()
-	if (Explorer{Cache: off}).cache() != off {
-		t.Error("CacheOff not honored")
-	}
-	cat := catalog.Synthetic(1, 2, 2)
-	e := Explorer{Catalog: cat, Space: synthSpace(cat), Cache: off}
-	if _, err := e.Enumerate(); err != nil {
-		t.Fatal(err)
-	}
-	if off.Len() != 0 {
-		t.Errorf("CacheOff retained %d entries", off.Len())
 	}
 }
 

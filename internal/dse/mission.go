@@ -395,18 +395,19 @@ func (stochasticEval) Columns() []ObjectiveColumn { return stochasticColumns }
 
 func (e stochasticEval) Evaluate(ctx context.Context, cand *Candidate, seed int64, out []float64) error {
 	cfg := &cand.Analysis.Config
-	for _, rate := range []units.Frequency{cfg.SensorRate, cfg.ComputeRate, cfg.ControlRate} {
+	rates := [...]units.Frequency{cfg.SensorRate, cfg.ComputeRate, cfg.ControlRate}
+	for _, rate := range rates {
 		if rate <= 0 || math.IsInf(rate.Hertz(), 1) {
 			worstMetrics(stochasticColumns, out)
 			return nil
 		}
 	}
-	stages := []pipeline.JitterStage{
+	stages := [...]pipeline.JitterStage{
 		{Stage: pipeline.StageHz("sensor", cfg.SensorRate), Jitter: sensorJitter},
 		{Stage: pipeline.StageHz("compute", cfg.ComputeRate), Jitter: computeJitter},
 		{Stage: pipeline.StageHz("control", cfg.ControlRate), Jitter: controlJitter},
 	}
-	res, err := pipeline.SimulateJitterContext(ctx, stages, jitterSamples, seed)
+	res, err := pipeline.SimulateJitterContext(ctx, stages[:], jitterSamples, seed)
 	if err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()

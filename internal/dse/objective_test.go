@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 )
 
 func TestNewObjectiveUnknownListsRegistry(t *testing.T) {
@@ -74,34 +73,30 @@ func TestObjectiveParallelMatchesSerial(t *testing.T) {
 				}
 			}
 			for _, workers := range []int{2, 4, 8} {
-				for _, cache := range []*core.Cache{core.CacheOff(), core.NewCache()} {
-					par, err := Explorer{Catalog: cat, Space: space, Workers: workers, Objective: ev, Cache: cache}.Enumerate()
-					if err != nil {
-						t.Fatalf("workers=%d: %v", workers, err)
-					}
-					requireEqualCandidates(t, serial, par)
+				par, err := Explorer{Catalog: cat, Space: space, Workers: workers, Objective: ev}.Enumerate()
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
 				}
+				requireEqualCandidates(t, serial, par)
 			}
 		})
 	}
 }
 
-// TestObjectiveCacheKeyedBySeedAndName verifies the score cache does
-// not bleed across objectives or seeds: the same space explored under
-// different seeds through one shared cache yields different
-// Monte-Carlo metrics, and re-running with the original seed still
-// reproduces the original slate.
-func TestObjectiveCacheKeyedBySeedAndName(t *testing.T) {
+// TestObjectiveSeedDiscriminates verifies the base seed reaches every
+// candidate's Monte-Carlo run: the same space explored under different
+// seeds yields different metrics, and re-running with the original
+// seed still reproduces the original slate.
+func TestObjectiveSeedDiscriminates(t *testing.T) {
 	cat := catalog.Synthetic(2, 3, 3)
 	space := synthSpace(cat)
-	cache := core.NewCache()
 	explore := func(seed int64) []Candidate {
 		t.Helper()
 		ev, err := NewObjective("mission.stochastic", cat, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cands, err := Explorer{Catalog: cat, Space: space, Objective: ev, Cache: cache}.Enumerate()
+		cands, err := Explorer{Catalog: cat, Space: space, Objective: ev}.Enumerate()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +113,7 @@ func TestObjectiveCacheKeyedBySeedAndName(t *testing.T) {
 		}
 	}
 	if !diff {
-		t.Error("seed 7 and seed 8 produced identical Monte-Carlo metrics — seed missing from cache key?")
+		t.Error("seed 7 and seed 8 produced identical Monte-Carlo metrics — seed not reaching the evaluator?")
 	}
 	requireEqualCandidates(t, a, explore(7))
 }

@@ -42,7 +42,7 @@ func TestPlanPartialMatchesDirectAnalyze(t *testing.T) {
 			if len(space.UAVs) == 0 {
 				space = synthSpace(tc.cat)
 			}
-			cands, err := Explorer{Catalog: tc.cat, Space: space, Workers: 1, Cache: core.CacheOff()}.Enumerate()
+			cands, err := Explorer{Catalog: tc.cat, Space: space, Workers: 1}.Enumerate()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,45 +67,6 @@ func TestPlanPartialMatchesDirectAnalyze(t *testing.T) {
 	}
 }
 
-// TestPlanPartialMatchesDirectThroughCache re-runs the hammer with a
-// real cache: the miss path fills via the partial combine, and what
-// lands in the cache — and what a second exploration then hits — must
-// still be the direct analysis, bit for bit.
-func TestPlanPartialMatchesDirectThroughCache(t *testing.T) {
-	cat := catalog.SyntheticAlgoHeavy(2, 3, 8)
-	space := synthSpace(cat)
-	cache := core.NewCache()
-	e := Explorer{Catalog: cat, Space: space, Workers: 1, Cache: cache}
-	first, err := e.Enumerate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := cache.Stats(); st.Misses == 0 {
-		t.Fatalf("cache saw no misses: %+v", st)
-	}
-	second, err := e.Enumerate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := cache.Stats(); st.Hits == 0 {
-		t.Fatalf("re-exploration hit nothing: %+v", st)
-	}
-	requireEqualCandidates(t, first, second)
-	for i, cand := range first {
-		r, err := cat.Resolve(cand.Selection)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := core.Analyze(r.Config())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(cand.Analysis, want) {
-			t.Fatalf("candidate %d: cache-filled analysis diverges from direct", i)
-		}
-	}
-}
-
 // TestParallelMatchesSerialAlgoHeavy is the -race determinism hammer
 // over the algorithm-heavy calibrated fixture: shared model partials
 // must keep parallel output byte-identical to the serial scan for
@@ -113,7 +74,7 @@ func TestPlanPartialMatchesDirectThroughCache(t *testing.T) {
 func TestParallelMatchesSerialAlgoHeavy(t *testing.T) {
 	cat := catalog.SyntheticAlgoHeavy(2, 4, 40)
 	space := synthSpace(cat)
-	serial, err := Explorer{Catalog: cat, Space: space, Workers: 1, Cache: core.CacheOff()}.Enumerate()
+	serial, err := Explorer{Catalog: cat, Space: space, Workers: 1}.Enumerate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +83,7 @@ func TestParallelMatchesSerialAlgoHeavy(t *testing.T) {
 	}
 	for _, workers := range []int{2, 4, 16} {
 		for _, grain := range []int{0, 1, 13, 512} {
-			par, err := Explorer{Catalog: cat, Space: space, Workers: workers, ChunkSize: grain, Cache: core.CacheOff()}.Enumerate()
+			par, err := Explorer{Catalog: cat, Space: space, Workers: workers, ChunkSize: grain}.Enumerate()
 			if err != nil {
 				t.Fatalf("workers=%d grain=%d: %v", workers, grain, err)
 			}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 )
 
 // TestStealRunCoversSpaceExactlyOnce drives the raw scheduler over many
@@ -51,7 +50,6 @@ func skewedExplorer(workers, grain int) Explorer {
 		Space:     synthSpace(cat),
 		Workers:   workers,
 		ChunkSize: grain,
-		Cache:     core.CacheOff(), // every candidate pays its true cost
 	}
 }
 

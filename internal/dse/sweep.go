@@ -341,6 +341,9 @@ func GridSweep(cfg core.Config, xKnob Knob, xLo, xHi float64, nx int, yKnob Knob
 // Cancelling ctx — a disconnected /grid.svg client — stops the workers
 // between cells instead of finishing the grid.
 func GridSweepContext(ctx context.Context, cfg core.Config, xKnob Knob, xLo, xHi float64, nx int, yKnob Knob, yLo, yHi float64, ny int, workers int) (GridResult, error) {
+	if err := faultinject.Fire(faultinject.SiteDSEPlan); err != nil {
+		return GridResult{}, fmt.Errorf("dse: grid sweep: %w", err)
+	}
 	if nx < 2 || ny < 2 {
 		return GridResult{}, fmt.Errorf("dse: grid sweep needs ≥2 points per axis, got %d×%d", nx, ny)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/dse"
 )
 
@@ -39,7 +38,6 @@ func runExtObjectives(ctx context.Context, c *catalog.Catalog) (Result, error) {
 			Catalog:   c,
 			Space:     space,
 			Objective: ev,
-			Cache:     core.CacheOff(),
 		}
 		cands, err := e.ExploreContext(ctx)
 		if err != nil {

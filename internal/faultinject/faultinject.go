@@ -39,6 +39,11 @@ const (
 	// exploration engine — the seam for slowing, failing or killing
 	// parallel workers mid-space.
 	SiteDSEChunk = "dse.chunk"
+	// SiteDSEPlan fires once per engine run, at the head of the
+	// exploration planner and of GridSweepContext: an armed error fails
+	// any request that would run the engine, which is how the warm
+	// store tests prove a restarted server never recomputed.
+	SiteDSEPlan = "dse.plan"
 	// SiteStoreRead fires before each read attempt of a persistent
 	// result-store artifact: an armed error exercises the retry loop
 	// and, when it outlasts the budget, the degrade-to-recompute path.

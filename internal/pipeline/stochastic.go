@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/units"
 )
@@ -66,11 +65,16 @@ func SimulateJitterContext(ctx context.Context, stages []JitterStage, n int, see
 	}
 	rng := rand.New(rand.NewSource(seed))
 	ns := len(stages)
-	prev := make([]float64, ns+1)
-	cur := make([]float64, ns+1)
+	// One backing array for the two completion-time rows of the
+	// flow-shop recurrence.
+	rows := make([]float64, 2*(ns+1))
+	prev, cur := rows[:ns+1], rows[ns+1:]
 	warm := n / 10
-	var outs []float64
-	var latencies []float64
+	// Only the latencies are kept; the output times reduce to the first,
+	// the last and the widest gap as the loop runs.
+	latencies := make([]float64, n-warm)
+	var first, last, worst float64
+	nan := 0
 	for k := 0; k < n; k++ {
 		if k%64 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -93,44 +97,109 @@ func SimulateJitterContext(ctx context.Context, stages []JitterStage, n int, see
 			cur[i+1] = done
 		}
 		prev, cur = cur, prev
-		if k >= warm {
-			outs = append(outs, prev[ns])
-			latencies = append(latencies, prev[ns]-entry)
+		if k < warm {
+			continue
 		}
+		out := prev[ns]
+		if k == warm {
+			first = out
+		} else if gap := out - last; gap > worst {
+			worst = gap
+		}
+		last = out
+		l := out - entry
+		if l != l {
+			nan++ // only an overflowing (Inf − Inf) timeline yields NaN
+		}
+		latencies[k-warm] = l
 	}
-	res := StochasticResult{}
-	if len(outs) >= 2 {
-		span := outs[len(outs)-1] - outs[0]
-		if span > 0 {
-			res.MeanThroughput = units.Hertz(float64(len(outs)-1) / span)
-		}
-		worst := 0.0
-		for i := 1; i < len(outs); i++ {
-			if gap := outs[i] - outs[i-1]; gap > worst {
-				worst = gap
+	res := StochasticResult{WorstInterval: units.Seconds(worst)}
+	if span := last - first; span > 0 {
+		res.MeanThroughput = units.Hertz(float64(len(latencies)-1) / span)
+	}
+	// Nearest-rank percentiles by selection instead of a full sort: p99
+	// first, then p50 inside the p99 prefix, which holds the i99+1
+	// smallest latencies. The order statistics are the ones a sorted copy
+	// holds at those ranks, bit for bit.
+	i99, i50 := nearestRank(len(latencies), 0.99), nearestRank(len(latencies), 0.50)
+	if nan > 0 {
+		// sort.Float64s orders NaNs first; match it.
+		j := 0
+		for i, v := range latencies {
+			if v != v {
+				latencies[i], latencies[j] = latencies[j], latencies[i]
+				j++
 			}
 		}
-		res.WorstInterval = units.Seconds(worst)
 	}
-	sort.Float64s(latencies)
-	res.P50Latency = units.Seconds(percentile(latencies, 0.50))
-	res.P99Latency = units.Seconds(percentile(latencies, 0.99))
+	res.P99Latency = units.Seconds(orderStat(latencies, nan, i99))
+	res.P50Latency = units.Seconds(orderStat(latencies[:i99+1], nan, i50))
 	return res, nil
 }
 
-// percentile returns the p-quantile of sorted values (nearest-rank).
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
+// nearestRank is the 0-based index of the nearest-rank p-quantile of m
+// sorted values.
+func nearestRank(m int, p float64) int {
+	return min(max(int(math.Ceil(p*float64(m)))-1, 0), m-1)
+}
+
+// orderStat returns the value a sorted copy of a (NaNs first) holds at
+// index k, given that a's nan NaNs already sit at its front. It leaves
+// a[:k] holding the k smallest values, so a later call on a[:k+1] with
+// a smaller rank selects within them.
+func orderStat(a []float64, nan, k int) float64 {
+	if k < nan {
+		return a[k]
 	}
-	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
+	return selectKth(a[nan:], k-nan)
+}
+
+// selectKth partially orders a (which must hold no NaN) so that a[k]
+// is the k-th smallest value, everything before it ≤ a[k] and
+// everything after it ≥ a[k], and returns a[k]: Hoare partitioning
+// around a median-of-three pivot, iterating into the side that holds k.
+// Ties split evenly, so a constant slice (a jitter-free pipeline) stays
+// linear.
+func selectKth(a []float64, k int) float64 {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if a[mid] < a[lo] {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if a[hi] < a[lo] {
+			a[hi], a[lo] = a[lo], a[hi]
+		}
+		if a[hi] < a[mid] {
+			a[hi], a[mid] = a[mid], a[hi]
+		}
+		pivot := a[mid]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for pivot < a[j] {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// Now a[lo:j+1] ≤ pivot ≤ a[i:hi+1], and anything between the
+		// two is the pivot itself.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return a[k]
+		}
 	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return a[k]
 }
 
 // EffectiveActionRate is the conservative decision rate a safety

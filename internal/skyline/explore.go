@@ -449,7 +449,6 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		Space:       req.Space,
 		Constraints: req.Constraints,
 		Workers:     workers,
-		Cache:       s.cache,
 		Objective:   req.Objective,
 	}
 	var objCols []dse.ObjectiveColumn

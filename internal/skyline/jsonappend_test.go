@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/dse"
 	"repro/internal/units"
 )
@@ -94,7 +93,7 @@ func TestAppendExploreLineMatchesEncoder(t *testing.T) {
 				}
 				cols = ev.Columns()
 			}
-			cands, err := dse.Explorer{Catalog: tc.cat, Space: tc.space, Workers: 1, Cache: core.CacheOff(), Objective: ev}.Enumerate()
+			cands, err := dse.Explorer{Catalog: tc.cat, Space: tc.space, Workers: 1, Objective: ev}.Enumerate()
 			if err != nil {
 				t.Fatalf("%s %s: %v", tc.name, objName, err)
 			}
@@ -114,7 +113,7 @@ func TestAppendExploreLineMatchesEncoder(t *testing.T) {
 // metric count does not match the columns.
 func TestAppendExploreLineEdgeCases(t *testing.T) {
 	cat := catalog.Default()
-	cands, err := dse.Explorer{Catalog: cat, Space: defaultSpace(cat), Workers: 1, Cache: core.CacheOff()}.Enumerate()
+	cands, err := dse.Explorer{Catalog: cat, Space: defaultSpace(cat), Workers: 1}.Enumerate()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -218,7 +218,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	cc(`{outcome="miss"}`, float64(st.Misses))
 	cc(`{outcome="coalesced"}`, float64(st.Coalesced))
 	counter("skyline_cache_evictions_total", "Cache entries evicted.")("", float64(st.Evictions))
-	counter("skyline_cache_fills_total", "Cache misses whose singleflight leader ran a real engine evaluation.")("", float64(st.Fills))
+	counter("skyline_cache_fills_total", "Cache misses whose singleflight leader ran a real analysis.")("", float64(st.Fills))
 
 	if s.store != nil {
 		ss := s.store.Stats()

@@ -97,8 +97,9 @@
 // Options.DefaultTimeout bounds each engine-driven request's wall
 // time; the timeout= query knob ("500ms", "2s", or bare seconds)
 // requests less, clamped to the server default. The deadline
-// propagates through the exploration engine and the analysis cache,
-// so an expired request stops consuming cores mid-space.
+// propagates through the exploration engine, its evaluators and the
+// analysis cache's coalesced waits, so an expired request stops
+// consuming cores mid-space.
 //
 // Options.ClientRPS meters clients (keyed by X-API-Key, else remote
 // address) with token buckets. Idle capacity ignores quotas — a free
@@ -120,9 +121,13 @@
 // Each request's worker pool is clamped to
 // Options.MaxWorkersPerRequest so one client cannot monopolize the
 // cores: the engine-driven endpoints accept the workers= knob and echo
-// the effective pool size in X-Explore-Workers. Analyses are memoized
-// in the process-wide core.SharedCache (sharded, segmented-LRU
-// eviction) unless Options supplies a dedicated cache.
+// the effective pool size in X-Explore-Workers. The page endpoints
+// (/api/analyze, /plot.svg) memoize analyses in the process-wide
+// core.SharedCache (sharded, segmented-LRU eviction) unless Options
+// supplies a dedicated cache. /explore does not: each candidate is
+// recomputed from the plan's precomputed partials, which is cheaper
+// than a cache probe, and whole responses are reused through the
+// persistent result store.
 //
 // cmd/skyline exposes these as -cache-entries, -max-inflight,
 // -queue-depth, -default-timeout, -client-rps and

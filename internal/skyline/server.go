@@ -26,8 +26,9 @@ import (
 type Server struct {
 	cat *catalog.Catalog
 	mux *http.ServeMux
-	// cache memoizes analyses across requests: under heavy traffic the
-	// popular configurations hit the F-1 model once, not per process.
+	// cache memoizes the page endpoints' analyses across requests:
+	// under heavy traffic the popular configurations hit the F-1 model
+	// once, not per request.
 	cache *core.Cache
 	// adm is the admission layer for the engine-driven endpoints: a
 	// bounded deadline-aware FIFO queue over the slot pool, per-client
@@ -63,8 +64,9 @@ const defaultDegradeTopK = 50
 // admission limit, no request deadline, no quotas, and per-request
 // workers capped at GOMAXPROCS.
 type Options struct {
-	// Cache memoizes analyses across requests. Nil selects the
-	// process-wide core.SharedCache; core.CacheOff() disables caching.
+	// Cache memoizes the page endpoints' analyses (/api/analyze,
+	// /plot.svg) across requests. Nil selects the process-wide
+	// core.SharedCache; core.CacheOff() disables caching.
 	Cache *core.Cache
 	// MaxInflight bounds how many engine-driven requests (/explore,
 	// /grid.svg, /sweep.svg) may run concurrently. Excess requests wait

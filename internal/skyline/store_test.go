@@ -3,6 +3,7 @@ package skyline
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -20,13 +21,12 @@ import (
 )
 
 // storedServer is one server generation over a persistent store
-// directory: its own in-memory cache (so engine activity is observable
-// per generation) and a freshly opened store over the shared dir.
+// directory: its own in-memory cache (no state shared with another
+// generation) and a freshly opened store over the shared dir.
 type storedServer struct {
-	srv   *httptest.Server
-	s     *Server
-	cache *core.Cache
-	st    *store.Store
+	srv *httptest.Server
+	s   *Server
+	st  *store.Store
 }
 
 func openStoredServer(t *testing.T, dir string) *storedServer {
@@ -35,11 +35,19 @@ func openStoredServer(t *testing.T, dir string) *storedServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := core.NewCache()
-	s := NewServerWith(catalog.Default(), Options{Cache: cache, Store: st})
+	s := NewServerWith(catalog.Default(), Options{Cache: core.NewCache(), Store: st})
 	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
-	return &storedServer{srv: srv, s: s, cache: cache, st: st}
+	return &storedServer{srv: srv, s: s, st: st}
+}
+
+// forbidEngine arms an error at the engine's plan seam for the rest of
+// the test: any request that would run an exploration or a grid sweep
+// fails, so a warm generation that still answers byte-identically
+// provably served every byte from the store.
+func forbidEngine(t *testing.T) {
+	t.Helper()
+	t.Cleanup(faultinject.Enable(faultinject.SiteDSEPlan, faultinject.Fault{Err: errors.New("engine ran on a warm restart")}))
 }
 
 // fetch GETs path and returns the body plus the X-Explore-Store header
@@ -74,8 +82,8 @@ func smallExplore(extra url.Values) string {
 // TestStoreRestartServesByteIdentical is the tentpole acceptance test:
 // a restarted server (fresh process state: new cache, reopened store)
 // answers previously computed explorations byte-identically from disk
-// without running the engine — proven by the fresh cache's fill and
-// miss counters staying at zero.
+// without running the engine — proven by an error armed at the
+// engine's plan seam for the whole warm generation.
 func TestStoreRestartServesByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	paths := []string{
@@ -102,6 +110,7 @@ func TestStoreRestartServesByteIdentical(t *testing.T) {
 	}
 	gen1.srv.Close()
 
+	forbidEngine(t)
 	gen2 := openStoredServer(t, dir)
 	for _, p := range paths {
 		body, hdr := fetch(t, gen2.srv, p)
@@ -111,11 +120,6 @@ func TestStoreRestartServesByteIdentical(t *testing.T) {
 		if !bytes.Equal(body, cold[p]) {
 			t.Errorf("warm GET %s: body differs from cold run (%d vs %d bytes)", p, len(body), len(cold[p]))
 		}
-	}
-	// The engine-evaluation proof: the restarted server's cache saw no
-	// misses and ran no fills — every byte came from the store.
-	if cs := gen2.cache.Stats(); cs.Fills != 0 || cs.Misses != 0 {
-		t.Fatalf("warm server cache stats = %+v; want zero fills and misses", cs)
 	}
 	if st := gen2.st.Stats(); st.Hits != uint64(len(paths)) || st.RecoveredArtifacts != len(paths) {
 		t.Fatalf("warm store stats = %+v; want %d hits over %d recovered artifacts", st, len(paths), len(paths))
@@ -133,6 +137,7 @@ func TestGridStoreRestart(t *testing.T) {
 	}
 	gen1.srv.Close()
 
+	forbidEngine(t)
 	gen2 := openStoredServer(t, dir)
 	warm, hdr := fetch(t, gen2.srv, path)
 	if hdr != "hit" {
@@ -140,9 +145,6 @@ func TestGridStoreRestart(t *testing.T) {
 	}
 	if !bytes.Equal(warm, cold) {
 		t.Errorf("warm grid SVG differs from cold (%d vs %d bytes)", len(warm), len(cold))
-	}
-	if cs := gen2.cache.Stats(); cs.Fills != 0 || cs.Misses != 0 {
-		t.Fatalf("warm server cache stats = %+v; want zero fills and misses", cs)
 	}
 }
 
