@@ -10,6 +10,7 @@ package f1
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/catalog"
@@ -340,8 +341,11 @@ func benchEnumerate(b *testing.B, workers int) {
 // goroutines) — the baseline for the speedup comparison.
 func BenchmarkEnumerateSerial(b *testing.B) { benchEnumerate(b, 1) }
 
-// BenchmarkEnumerateParallel fans out across all available cores.
-func BenchmarkEnumerateParallel(b *testing.B) { benchEnumerate(b, 0) }
+// BenchmarkEnumerateParallel fans out across all available cores. The
+// *Parallel benches pin Workers to GOMAXPROCS because the default
+// (dse.PoolSize) would run a plain or cheap-objective exploration
+// inline: they stay the pool side of each cost class's crossover.
+func BenchmarkEnumerateParallel(b *testing.B) { benchEnumerate(b, runtime.GOMAXPROCS(0)) }
 
 // --- Skewed-space benches ------------------------------------------------
 //
@@ -375,7 +379,7 @@ func BenchmarkEnumerateSkewedSerial(b *testing.B) { benchEnumerateSkewed(b, 1) }
 
 // BenchmarkEnumerateSkewedParallel fans the skewed space across all
 // cores; work stealing keeps the pool busy through the expensive tail.
-func BenchmarkEnumerateSkewedParallel(b *testing.B) { benchEnumerateSkewed(b, 0) }
+func BenchmarkEnumerateSkewedParallel(b *testing.B) { benchEnumerateSkewed(b, runtime.GOMAXPROCS(0)) }
 
 // --- Algorithm-heavy benches ----------------------------------------------
 //
@@ -441,7 +445,7 @@ func BenchmarkEnumerateMissionThermalSerial(b *testing.B) {
 // BenchmarkEnumerateMissionThermalParallel fans the analytic objective
 // across all cores.
 func BenchmarkEnumerateMissionThermalParallel(b *testing.B) {
-	benchEnumerateMission(b, "mission.thermal", 0)
+	benchEnumerateMission(b, "mission.thermal", runtime.GOMAXPROCS(0))
 }
 
 // BenchmarkEnumerateMissionStochasticSerial prices an expensive
@@ -455,12 +459,14 @@ func BenchmarkEnumerateMissionStochasticSerial(b *testing.B) {
 // objective across all cores — the case the work-stealing pool exists
 // for: per-candidate cost dwarfs scheduling overhead.
 func BenchmarkEnumerateMissionStochasticParallel(b *testing.B) {
-	benchEnumerateMission(b, "mission.stochastic", 0)
+	benchEnumerateMission(b, "mission.stochastic", runtime.GOMAXPROCS(0))
 }
 
 // BenchmarkEnumerateAlgoHeavyParallel fans the algorithm-heavy space
 // across all cores.
-func BenchmarkEnumerateAlgoHeavyParallel(b *testing.B) { benchEnumerateAlgoHeavy(b, 0) }
+func BenchmarkEnumerateAlgoHeavyParallel(b *testing.B) {
+	benchEnumerateAlgoHeavy(b, runtime.GOMAXPROCS(0))
+}
 
 // --- Skewed-sweep benches -------------------------------------------------
 //
@@ -505,10 +511,13 @@ func BenchmarkSweepPayloadSkewedSerial(b *testing.B) { benchSweepPayloadSkewed(b
 // BenchmarkSweepPayloadSkewedParallel fans the skewed sweep across all
 // cores; steal-half splitting keeps workers busy through the expensive
 // high-payload tail.
-func BenchmarkSweepPayloadSkewedParallel(b *testing.B) { benchSweepPayloadSkewed(b, 0) }
+func BenchmarkSweepPayloadSkewedParallel(b *testing.B) {
+	benchSweepPayloadSkewed(b, runtime.GOMAXPROCS(0))
+}
 
 // BenchmarkEnumerateStream measures the iter.Seq2 streaming path with a
-// constraint filter applied by the consumer.
+// constraint filter applied by the consumer, at the default pool size:
+// a plain exploration, so the chunk loop runs inline.
 func BenchmarkEnumerateStream(b *testing.B) {
 	cat := catalog.Synthetic(5, 16, 16)
 	e := dse.Explorer{Catalog: cat, Space: dseBenchSpace(cat)}

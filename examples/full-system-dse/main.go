@@ -24,11 +24,13 @@ func main() {
 		Algorithms: []string{catalog.AlgoDroNet, catalog.AlgoTrailNet, catalog.AlgoCAD2RL, catalog.AlgoVGG16},
 	}
 
-	// The Explorer fans the cross product out across all cores and
-	// streams candidates in deterministic order; collecting them is
-	// just one consumer of the stream. The context scopes the work:
-	// cancelling it (a timeout, a dropped client) stops the workers
-	// between candidates instead of draining the space.
+	// The Explorer walks the cross product in grains — inline for a
+	// plain exploration like this one, across all cores for a heavy
+	// mission objective — and streams candidates in deterministic
+	// order; collecting them is just one consumer of the stream. The
+	// context scopes the work: cancelling it (a timeout, a dropped
+	// client) stops the exploration between candidates instead of
+	// draining the space.
 	explorer := dse.Explorer{Catalog: cat, Space: space}
 	var cands []dse.Candidate
 	for cand, err := range explorer.Candidates(context.Background()) {

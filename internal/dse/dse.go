@@ -10,16 +10,23 @@
 // presets:
 //
 //   - Explorer (explore.go) pre-resolves every axis value against the
-//     catalog once, then fans the cross product out across the
-//     package's work-stealing scheduler (pool.go): per-worker deques
-//     seeded with coarse contiguous index ranges, small claim grains,
-//     and steal-half splitting when a worker runs dry — so skewed
-//     spaces, where some cells analyze orders of magnitude slower than
-//     others, rebalance dynamically instead of stalling the pool
-//     behind one slow fixed-size chunk. Grain results are re-merged in
-//     index order by a bounded reorder sink, so the output is
-//     deterministic and element-for-element identical to a serial scan
-//     for every worker count, grain size and steal interleaving.
+//     catalog once, then walks the cross product in claim grains
+//     through one chunk loop. PoolSize picks where that loop runs from
+//     the objective's declared cost class (Evaluator.Heavy): a plain
+//     or cheap-objective exploration runs it inline on the caller's
+//     goroutine, where the pool's goroutines and ordered merge would
+//     cost more than the candidates themselves; a heavy (simulated)
+//     objective fans it out across the package's work-stealing
+//     scheduler (pool.go): per-worker deques seeded with coarse
+//     contiguous index ranges, small claim grains, and steal-half
+//     splitting when a worker runs dry — so skewed spaces, where some
+//     cells analyze orders of magnitude slower than others, rebalance
+//     dynamically instead of stalling the pool behind one slow
+//     fixed-size chunk. Grain results are re-merged in index order by
+//     a bounded reorder sink, so the output is deterministic and
+//     element-for-element identical to a serial scan for every worker
+//     count, grain size and steal interleaving. Both paths share the
+//     chunk loop's fault site, panic recovery and cancellation checks.
 //     Explorer.Candidates streams the space as an iter.Seq2, so
 //     callers can filter or stop early without materializing it;
 //     Explorer.ExploreContext (and its no-context shorthand Enumerate)

@@ -13,18 +13,22 @@ import (
 	"repro/internal/units"
 )
 
-// Explorer is the design-space exploration engine: it fans the
-// (UAV × compute × algorithm × sensor) cross product out across the
-// package's work-stealing scheduler and streams the surviving
-// candidates in the canonical serial order, so parallel output is
-// element-for-element identical to Workers=1 output even when the
-// space is skewed and cells rebalance between workers mid-flight.
+// Explorer is the design-space exploration engine: it walks the
+// (UAV × compute × algorithm × sensor) cross product in claim grains —
+// inline on the caller's goroutine, or fanned out across the package's
+// work-stealing scheduler when the per-candidate cost pays for it — and
+// streams the surviving candidates in the canonical serial order, so
+// parallel output is element-for-element identical to Workers=1 output
+// even when the space is skewed and cells rebalance between workers
+// mid-flight.
 type Explorer struct {
 	Catalog     *catalog.Catalog
 	Space       Space
 	Constraints Constraints
-	// Workers bounds the pool: 0 picks GOMAXPROCS, 1 runs serially
-	// inline (no goroutines).
+	// Workers sizes the pool. 0 lets PoolSize pick from the objective's
+	// cost class: GOMAXPROCS workers for a heavy evaluator, otherwise
+	// one. 1 runs the chunk loop inline on the caller's goroutine (no
+	// goroutines); an explicit count is honored as given.
 	Workers int
 	// ChunkSize is the scheduler's claim grain — the number of
 	// candidates a worker takes from its deque at once; 0 picks a size
@@ -49,7 +53,7 @@ func (e Explorer) workers() int {
 	if e.Workers > 0 {
 		return e.Workers
 	}
-	return runtime.GOMAXPROCS(0)
+	return PoolSize(e.Objective, runtime.GOMAXPROCS(0))
 }
 
 // grain resolves the scheduler's claim quantum for n candidates.
@@ -330,8 +334,9 @@ func (p *plan) candidateInto(ctx context.Context, i int, cand *Candidate, arena 
 	}
 	cand.Selection = catalog.Selection{UAV: uav.Name, Compute: comp.Name, Algorithm: cl.algo, Sensor: sc.name}
 	cand.Power = comp.TDP
-	// The caller's slot may have carried a scored candidate (the serial
-	// paths reuse one); a plain exploration must not leak stale metrics.
+	// The caller's slot may have carried a scored candidate (the inline
+	// stream reuses one grain buffer); a plain exploration must not leak
+	// stale metrics.
 	cand.Metrics = nil
 	if !p.cons.Allows(*cand) {
 		return false, nil
@@ -356,36 +361,34 @@ func (p *plan) candidateInto(ctx context.Context, i int, cand *Candidate, arena 
 	return true, nil
 }
 
-// processChunk analyzes candidates [start,end), returning the survivors
-// in order. On error — including cancellation of ctx, checked between
-// candidates so in-flight chunks abort instead of draining — it returns
-// the survivors found before the failing candidate together with the
-// error. A panicking analysis (corrupt model data, an armed fault) is
-// recovered into an error rather than unwinding: chunks run on pool
-// goroutines, where an escaped panic would kill the whole process
-// instead of failing one request.
-func (p *plan) processChunk(ctx context.Context, start, end int) (out []Candidate, err error) {
+// processChunk analyzes candidates [start,end), appending the survivors
+// to out in order, with their Ceilings carved from *arena; out must
+// have spare capacity for end-start candidates. It is the
+// one chunk loop of both execution paths: pool workers run it on their
+// goroutines, and a one-worker exploration runs it grain by grain on
+// the caller's. On error — including cancellation of ctx, checked
+// between candidates so in-flight chunks abort instead of draining —
+// it returns out extended by the survivors found before the failing
+// candidate, together with the error. A panicking analysis (corrupt
+// model data, an armed fault) is recovered into an error rather than
+// unwinding, with out returned as it was passed in: on a pool
+// goroutine an escaped panic would kill the whole process instead of
+// failing one request.
+func (p *plan) processChunk(ctx context.Context, start, end int, out []Candidate, arena *[]core.Ceiling) (res []Candidate, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			out, err = nil, fmt.Errorf("dse: panic analyzing candidates [%d,%d): %v", start, end, r)
+			res, err = out, fmt.Errorf("dse: panic analyzing candidates [%d,%d): %v", start, end, r)
 		}
 	}()
 	if err := faultinject.Fire(faultinject.SiteDSEChunk); err != nil {
-		return nil, fmt.Errorf("dse: chunk [%d,%d): %w", start, end, err)
+		return out, fmt.Errorf("dse: chunk [%d,%d): %w", start, end, err)
 	}
-	return p.processChunkBody(ctx, start, end)
+	return p.processChunkBody(ctx, start, end, out, arena)
 }
 
 //reprolint:hotpath
-func (p *plan) processChunkBody(ctx context.Context, start, end int) ([]Candidate, error) {
+func (p *plan) processChunkBody(ctx context.Context, start, end int, out []Candidate, arena *[]core.Ceiling) ([]Candidate, error) {
 	done := ctx.Done() // one channel load; the per-candidate check is a cheap select
-	out := make([]Candidate, 0, end-start)
-	// One Ceilings block per chunk (up to 3 per candidate): the chunk's
-	// survivors collectively own it, exactly like the out slice itself.
-	// Capped: the serial ExploreContext path routes the whole space
-	// through one chunk, and the combine rolls over to fresh blocks
-	// anyway when a block fills.
-	arena := make([]core.Ceiling, 0, 3*min(end-start, 1024))
 	for i := start; i < end; i++ {
 		select {
 		case <-done:
@@ -395,7 +398,7 @@ func (p *plan) processChunkBody(ctx context.Context, start, end int) ([]Candidat
 		// Extend first and analyze into the new slot, truncating on a
 		// rejection: survivors are written in place, never copied.
 		out = out[:len(out)+1]
-		ok, err := p.candidateInto(ctx, i, &out[len(out)-1], &arena)
+		ok, err := p.candidateInto(ctx, i, &out[len(out)-1], arena)
 		if err != nil {
 			return out[:len(out)-1], err
 		}
@@ -404,6 +407,15 @@ func (p *plan) processChunkBody(ctx context.Context, start, end int) ([]Candidat
 		}
 	}
 	return out, nil
+}
+
+// newArena starts a Ceilings arena for a run over n candidates: one
+// block sized for up to three ceilings per candidate, capped because
+// the combine rolls over to fresh blocks anyway when a block fills.
+// Blocks are append-only, so candidates retained by a consumer keep
+// their Ceilings while later candidates carve new spans.
+func newArena(n int) []core.Ceiling {
+	return make([]core.Ceiling, 0, 3*min(n, 1024))
 }
 
 // Candidates streams the exploration as an iterator: candidates arrive
@@ -427,41 +439,39 @@ func (e Explorer) Candidates(ctx context.Context) iter.Seq2[Candidate, error] {
 		if n == 0 {
 			return
 		}
+		// emit yields one grain's survivors, then its error if any;
+		// false stops the stream.
+		emit := func(cands []Candidate, err error) bool {
+			for _, c := range cands {
+				if !yield(c, nil) {
+					return false
+				}
+			}
+			if err != nil {
+				yield(Candidate{}, err)
+				return false
+			}
+			return true
+		}
 		workers := e.workers()
 		grain := e.grain(n, workers)
-		if workers == 1 || n <= grain {
-			done := ctx.Done()
-			var cand Candidate
-			// Block-granular arena: yielded candidates may be retained
-			// by the consumer, so exhausted blocks are simply left to
-			// them and fresh ones started (inside the combine).
-			arena := make([]core.Ceiling, 0, 3*min(n, 1024))
-			for i := 0; i < n; i++ {
-				select {
-				case <-done:
-					yield(Candidate{}, ctx.Err())
-					return
-				default:
-				}
-				ok, err := p.candidateInto(ctx, i, &cand, &arena)
-				if err != nil {
-					yield(Candidate{}, err)
-					return
-				}
-				if ok && !yield(cand, nil) {
+		if workers > 1 && n > grain {
+			for cands, err := range streamStealing(ctx, p, n, grain, workers) {
+				if !emit(cands, err) {
 					return
 				}
 			}
 			return
 		}
-		for cands, err := range streamStealing(ctx, p, n, grain, workers) {
-			for _, c := range cands {
-				if !yield(c, nil) {
-					return
-				}
-			}
-			if err != nil {
-				yield(Candidate{}, err)
+		// Inline: the pool's chunk loop (processChunk, with its fault
+		// site, panic recovery and cancellation checks) run grain by
+		// grain on the caller's goroutine. One grain buffer and one
+		// Ceilings arena serve the whole stream: yielded candidates are
+		// copies, and arena blocks are append-only.
+		buf := make([]Candidate, 0, min(grain, n))
+		arena := newArena(n)
+		for start := 0; start < n; start += grain {
+			if !emit(p.processChunk(ctx, start, min(start+grain, n), buf[:0], &arena)) {
 				return
 			}
 		}
@@ -477,7 +487,6 @@ func (e Explorer) ExploreContext(ctx context.Context) ([]Candidate, error) {
 		//reprolint:allow ctxflow nil-ctx compatibility guard, documented as running uncancellable
 		ctx = context.Background()
 	}
-	var out []Candidate
 	p, err := newPlan(e.Catalog, e.Space, e.Constraints, e.Objective)
 	if err != nil {
 		return nil, err
@@ -486,13 +495,18 @@ func (e Explorer) ExploreContext(ctx context.Context) ([]Candidate, error) {
 	workers := e.workers()
 	grain := e.grain(n, workers)
 	if workers == 1 || n <= grain {
-		// Serial: one output allocation, no handoff buffers.
-		cands, err := p.processChunk(ctx, 0, n)
-		if err != nil {
-			return nil, err
+		// Inline: every grain appends into one exact-capacity slice and
+		// one arena, with no handoff buffers.
+		out := make([]Candidate, 0, n)
+		arena := newArena(n)
+		for start := 0; start < n; start += grain {
+			if out, err = p.processChunk(ctx, start, min(start+grain, n), out, &arena); err != nil {
+				return nil, err
+			}
 		}
-		return cands, nil
+		return out, nil
 	}
+	var out []Candidate
 	for cands, err := range streamStealing(ctx, p, n, grain, workers) {
 		out = append(out, cands...)
 		if err != nil {

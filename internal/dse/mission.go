@@ -95,6 +95,7 @@ var enduranceColumns = []ObjectiveColumn{
 func (enduranceEval) Name() string               { return "mission.endurance" }
 func (enduranceEval) Seed() int64                { return 0 }
 func (enduranceEval) Columns() []ObjectiveColumn { return enduranceColumns }
+func (enduranceEval) Heavy() bool                { return false }
 
 func (e enduranceEval) Evaluate(_ context.Context, cand *Candidate, _ int64, out []float64) error {
 	u, err := e.cat.UAV(cand.Selection.UAV)
@@ -145,6 +146,7 @@ var batteryColumns = []ObjectiveColumn{
 func (batteryEval) Name() string               { return "mission.battery" }
 func (batteryEval) Seed() int64                { return 0 }
 func (batteryEval) Columns() []ObjectiveColumn { return batteryColumns }
+func (batteryEval) Heavy() bool                { return true }
 
 func (e batteryEval) Evaluate(_ context.Context, cand *Candidate, _ int64, out []float64) error {
 	u, err := e.cat.UAV(cand.Selection.UAV)
@@ -200,6 +202,7 @@ var thermalColumns = []ObjectiveColumn{
 func (thermalEval) Name() string               { return "mission.thermal" }
 func (thermalEval) Seed() int64                { return 0 }
 func (thermalEval) Columns() []ObjectiveColumn { return thermalColumns }
+func (thermalEval) Heavy() bool                { return false }
 
 func (e thermalEval) Evaluate(_ context.Context, cand *Candidate, _ int64, out []float64) error {
 	u, err := e.cat.UAV(cand.Selection.UAV)
@@ -247,6 +250,7 @@ var redundancyColumns = []ObjectiveColumn{
 func (redundancyEval) Name() string               { return "mission.redundancy" }
 func (redundancyEval) Seed() int64                { return 0 }
 func (redundancyEval) Columns() []ObjectiveColumn { return redundancyColumns }
+func (redundancyEval) Heavy() bool                { return false }
 
 func (e redundancyEval) Evaluate(_ context.Context, cand *Candidate, _ int64, out []float64) error {
 	comp, err := e.cat.Compute(cand.Selection.Compute)
@@ -316,6 +320,7 @@ var flightsimColumns = []ObjectiveColumn{
 func (e flightsimEval) Name() string             { return "mission.flightsim" }
 func (e flightsimEval) Seed() int64              { return e.seed }
 func (flightsimEval) Columns() []ObjectiveColumn { return flightsimColumns }
+func (flightsimEval) Heavy() bool                { return true }
 
 func (e flightsimEval) Evaluate(ctx context.Context, cand *Candidate, seed int64, out []float64) error {
 	u, err := e.cat.UAV(cand.Selection.UAV)
@@ -392,6 +397,7 @@ var stochasticColumns = []ObjectiveColumn{
 func (e stochasticEval) Name() string             { return "mission.stochastic" }
 func (e stochasticEval) Seed() int64              { return e.seed }
 func (stochasticEval) Columns() []ObjectiveColumn { return stochasticColumns }
+func (stochasticEval) Heavy() bool                { return true }
 
 func (e stochasticEval) Evaluate(ctx context.Context, cand *Candidate, seed int64, out []float64) error {
 	cfg := &cand.Analysis.Config

@@ -37,6 +37,10 @@ type ObjectiveColumn struct {
 //     cancelled request abandons the simulation mid-candidate.
 //   - Seed() is the base seed for stochastic evaluators and 0 for
 //     deterministic ones; 0 keeps the seed out of the cache key.
+//   - Heavy() is the evaluator's declared per-candidate cost class:
+//     true when one Evaluate call costs tens of microseconds or more,
+//     enough to pay for the work-stealing pool (see PoolSize). It is
+//     fixed for the evaluator's lifetime.
 //   - A candidate the objective cannot score (a degenerate
 //     configuration, an unwinnable scenario) is marked worst — -Inf in
 //     Maximize columns, +Inf elsewhere — never NaN: the Pareto skyline
@@ -52,6 +56,9 @@ type Evaluator interface {
 	Seed() int64
 	// Columns describes the emitted metrics, in out-slice order.
 	Columns() []ObjectiveColumn
+	// Heavy reports whether scoring one candidate is costly enough
+	// for an exploration to pay for the worker pool.
+	Heavy() bool
 	// Evaluate scores cand into out (len(out) == len(Columns())).
 	Evaluate(ctx context.Context, cand *Candidate, seed int64, out []float64) error
 }
@@ -83,6 +90,20 @@ func ColumnIndex(cols []ObjectiveColumn, name string) int {
 		}
 	}
 	return -1
+}
+
+// PoolSize is the exploration engine's one execution policy: the
+// number of workers an exploration scored by ev should run on, given
+// at most max. The pool's goroutines, grain handoffs and ordered merge
+// cost more than they save unless each candidate is expensive, so only
+// a heavy evaluator gets the pool (max workers); a plain exploration
+// (nil ev) or a cheap analytic objective runs inline on one worker.
+// The crossovers behind the split are in docs/OBJECTIVES.md.
+func PoolSize(ev Evaluator, max int) int {
+	if ev != nil && ev.Heavy() {
+		return max
+	}
+	return 1
 }
 
 // worstMetrics marks a candidate the objective cannot score as

@@ -117,3 +117,41 @@ func TestObjectiveSeedDiscriminates(t *testing.T) {
 	}
 	requireEqualCandidates(t, a, explore(7))
 }
+
+// TestPoolSizeFollowsCostClass pins the execution policy: only the
+// simulated objectives documented as heavy in docs/OBJECTIVES.md get
+// the pool, and a default-sized Explorer follows the same rule while an
+// explicit worker count is honored as given.
+func TestPoolSizeFollowsCostClass(t *testing.T) {
+	heavy := map[string]bool{
+		"mission.battery":    true,
+		"mission.flightsim":  true,
+		"mission.stochastic": true,
+	}
+	cat := catalog.Default()
+	if got := PoolSize(nil, 4); got != 1 {
+		t.Errorf("PoolSize(nil, 4) = %d, want 1", got)
+	}
+	for _, name := range ObjectiveNames() {
+		ev, err := NewObjective(name, cat, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 1
+		if heavy[name] {
+			want = 4
+		}
+		if ev.Heavy() != heavy[name] {
+			t.Errorf("%s: Heavy() = %v, want %v", name, ev.Heavy(), heavy[name])
+		}
+		if got := PoolSize(ev, 4); got != want {
+			t.Errorf("PoolSize(%s, 4) = %d, want %d", name, got, want)
+		}
+		if got := (Explorer{Objective: ev, Workers: 3}).workers(); got != 3 {
+			t.Errorf("%s: explicit Workers 3 resolved to %d", name, got)
+		}
+	}
+	if got := (Explorer{}).workers(); got != 1 {
+		t.Errorf("plain Explorer with Workers 0 resolved to %d workers, want 1", got)
+	}
+}

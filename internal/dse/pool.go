@@ -9,8 +9,11 @@ import (
 )
 
 // This file is the dse package's internal work-stealing scheduler — the
-// one engine behind Explorer.Candidates/ExploreContext and the
-// Sweep/GridSweep evaluators (forEachParallel in sweep.go).
+// parallel engine behind Explorer.Candidates/ExploreContext when
+// PoolSize (or an explicit Explorer.Workers) picks more than one
+// worker, and behind the Sweep/GridSweep evaluators (forEachParallel in
+// sweep.go). One-worker explorations run the same chunk loop
+// (plan.processChunk) inline on the caller's goroutine instead.
 //
 // The candidate index space [0,n) is split into one coarse contiguous
 // range per worker, seeded into per-worker deques. A worker claims small
@@ -353,7 +356,10 @@ func streamStealing(ctx context.Context, p *plan, n, grain, workers int) iter.Se
 		defer stop()
 		go func() {
 			stealRun(ctx, n, workers, grain, func(_ int, g span) bool {
-				cands, err := p.processChunk(ctx, g.start, g.end)
+				// Each grain owns its survivors and Ceilings block:
+				// the consumer takes them over when it is merged.
+				arena := newArena(g.size())
+				cands, err := p.processChunk(ctx, g.start, g.end, make([]Candidate, 0, g.size()), &arena)
 				return sink.publish(g, cands, err)
 			})
 			sink.finish()

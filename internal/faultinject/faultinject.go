@@ -35,9 +35,10 @@ const (
 	// receives, and an armed panic exercises the abandoned-flight
 	// recovery path.
 	SiteCacheFill = "core.cache.fill"
-	// SiteDSEChunk fires at the head of every scheduler chunk in the
-	// exploration engine — the seam for slowing, failing or killing
-	// parallel workers mid-space.
+	// SiteDSEChunk fires at the head of every chunk of the exploration
+	// engine's chunk loop, on pool workers and inline one-worker runs
+	// alike — the seam for slowing, failing or killing an exploration
+	// mid-space.
 	SiteDSEChunk = "dse.chunk"
 	// SiteDSEPlan fires once per engine run, at the head of the
 	// exploration planner and of GridSweepContext: an armed error fails

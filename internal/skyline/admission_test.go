@@ -121,10 +121,14 @@ func TestExploreWorkersClamp(t *testing.T) {
 	defer srv.Close()
 	cap := min(2, runtime.GOMAXPROCS(0))
 
+	// Only a heavy objective runs on the pool, so the clamp cases pick
+	// one; a plain exploration runs inline whatever it asks for.
+	const heavy = "objective=mission.stochastic&"
 	for query, want := range map[string]int{
-		"workers=32": cap, // oversized requests clamp to the server cap
-		"workers=1":  1,   // smaller requests are honored
-		"":           cap, // absent defaults to the cap
+		heavy + "workers=32": cap, // oversized requests clamp to the server cap
+		heavy + "workers=1":  1,   // smaller requests are honored
+		heavy:                cap, // absent defaults to the cap
+		"workers=32":         1,   // plain: inline, and the header says so
 	} {
 		resp, err := http.Get(srv.URL + "/explore?" + query)
 		if err != nil {

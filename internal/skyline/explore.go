@@ -248,8 +248,8 @@ type MetricJSON struct {
 }
 
 // ExploreCandidateJSON is one /explore NDJSON line, the shape clients
-// decode. The server writes it with appendExploreLine rather than
-// through encoding/json; the bytes are the same.
+// decode. The server writes it with lineEncoder rather than through
+// encoding/json; the bytes are the same.
 type ExploreCandidateJSON struct {
 	Name      string    `json:"name"`
 	UAV       string    `json:"uav"`
@@ -276,27 +276,90 @@ type ExploreCandidateJSON struct {
 // into large socket writes instead of one chunked write per candidate.
 const exploreFlushInterval = 10 * time.Millisecond
 
-// appendExploreLine appends c's /explore NDJSON line to dst: the
+// lineEncoder writes one response's /explore NDJSON lines: the
 // ExploreCandidateJSON shape, newline-terminated, byte-identical to
 // json.Encoder's encoding of that struct with its omitempty fields
-// (jsonappend_test.go diffs the two). objName and cols are the active
-// objective's registry name and columns ("" and nil on plain
-// explorations).
+// (jsonappend_test.go diffs the two, line by line and over whole
+// sequences). It is the single encoder of both the streaming path and
+// the buffered top-K/Pareto path.
+//
+// Candidates arrive in long runs that share their UAV, compute,
+// sensor, knee, power, payload, bound and class, so the encoder keeps
+// the previous line's encoding of each of those fields and re-encodes
+// one only when it changes (string inequality for strings,
+// math.Float64bits inequality for floats). The state lives for one
+// response: a lineEncoder is never shared across requests.
+type lineEncoder struct {
+	// objName and cols are the active objective's registry name and
+	// columns ("" and nil on plain explorations).
+	objName string
+	cols    []dse.ObjectiveColumn
+
+	uav, compute, sensor, bound, class memoString
+	knee, power, payload               memoFloat
+}
+
+// memoString is one string field's last value and its JSON encoding,
+// kept in a fixed array so the memo never allocates. A value whose
+// encoding outgrows the array is simply not memoized.
+type memoString struct {
+	val string
+	ok  bool // enc[:n] encodes val
+	n   int
+	enc [64]byte
+}
+
+//reprolint:hotpath
+func (m *memoString) append(dst []byte, s string) []byte {
+	if m.ok && s == m.val {
+		return append(dst, m.enc[:m.n]...)
+	}
+	start := len(dst)
+	dst = appendJSONString(dst, s)
+	m.val, m.ok = s, len(dst)-start <= len(m.enc)
+	m.n = copy(m.enc[:], dst[start:])
+	return dst
+}
+
+// memoFloat is one float field's last value and its JSONFloat
+// encoding, like memoString. The value is compared as bits, so +0 and
+// -0 (which encode differently) are distinct and a repeated NaN hits.
+type memoFloat struct {
+	bits uint64
+	ok   bool // enc[:n] encodes bits
+	n    int
+	enc  [32]byte
+}
+
+//reprolint:hotpath
+func (m *memoFloat) append(dst []byte, f float64) []byte {
+	b := math.Float64bits(f)
+	if m.ok && b == m.bits {
+		return append(dst, m.enc[:m.n]...)
+	}
+	start := len(dst)
+	dst = appendJSONFloat(dst, f)
+	m.bits, m.ok = b, len(dst)-start <= len(m.enc)
+	m.n = copy(m.enc[:], dst[start:])
+	return dst
+}
+
+// appendLine appends c's NDJSON line to dst.
 //
 //reprolint:hotpath
-func appendExploreLine(dst []byte, c dse.Candidate, objName string, cols []dse.ObjectiveColumn) []byte {
+func (e *lineEncoder) appendLine(dst []byte, c *dse.Candidate) []byte {
 	an := &c.Analysis
 	dst = append(dst, `{"name":`...)
 	dst = appendJSONString(dst, an.Config.Name)
 	dst = append(dst, `,"uav":`...)
-	dst = appendJSONString(dst, c.Selection.UAV)
+	dst = e.uav.append(dst, c.Selection.UAV)
 	dst = append(dst, `,"compute":`...)
-	dst = appendJSONString(dst, c.Selection.Compute)
+	dst = e.compute.append(dst, c.Selection.Compute)
 	dst = append(dst, `,"algorithm":`...)
 	dst = appendJSONString(dst, c.Selection.Algorithm)
 	if c.Selection.Sensor != "" {
 		dst = append(dst, `,"sensor":`...)
-		dst = appendJSONString(dst, c.Selection.Sensor)
+		dst = e.sensor.append(dst, c.Selection.Sensor)
 	}
 	dst = append(dst, `,"v_safe_ms":`...)
 	dst = appendJSONFloat(dst, an.SafeVelocity.MetersPerSecond())
@@ -310,30 +373,30 @@ func appendExploreLine(dst []byte, c dse.Candidate, objName string, cols []dse.O
 		dst = appendJSONFloat(dst, v)
 	}
 	dst = append(dst, `,"knee_hz":`...)
-	dst = appendJSONFloat(dst, an.Knee.Throughput.Hertz())
+	dst = e.knee.append(dst, an.Knee.Throughput.Hertz())
 	dst = append(dst, `,"power_w":`...)
-	dst = appendJSONFloat(dst, c.Power.Watts())
+	dst = e.power.append(dst, c.Power.Watts())
 	dst = append(dst, `,"payload_g":`...)
-	dst = appendJSONFloat(dst, an.Config.Payload.Grams())
+	dst = e.payload.append(dst, an.Config.Payload.Grams())
 	dst = append(dst, `,"bound":`...)
-	dst = appendJSONString(dst, an.Bound.String())
+	dst = e.bound.append(dst, an.Bound.String())
 	dst = append(dst, `,"class":`...)
-	dst = appendJSONString(dst, an.Class.String())
+	dst = e.class.append(dst, an.Class.String())
 	if g := an.GapFactor; g != 0 && !math.IsInf(g, 0) && !math.IsNaN(g) {
 		dst = append(dst, `,"gap_factor":`...)
 		dst = appendJSONFloat(dst, g)
 	}
-	if objName != "" && len(c.Metrics) == len(cols) {
+	if e.objName != "" && len(c.Metrics) == len(e.cols) {
 		dst = append(dst, `,"objective":`...)
-		dst = appendJSONString(dst, objName)
-		if len(cols) > 0 {
+		dst = appendJSONString(dst, e.objName)
+		if len(e.cols) > 0 {
 			dst = append(dst, `,"metrics":[`...)
-			for i := range cols {
+			for i := range e.cols {
 				if i > 0 {
 					dst = append(dst, ',')
 				}
 				dst = append(dst, `{"name":`...)
-				dst = appendJSONString(dst, cols[i].Name)
+				dst = appendJSONString(dst, e.cols[i].Name)
 				dst = append(dst, `,"value":`...)
 				dst = appendJSONFloat(dst, c.Metrics[i])
 				dst = append(dst, '}')
@@ -346,10 +409,10 @@ func appendExploreLine(dst []byte, c dse.Candidate, objName string, cols []dse.O
 
 // requestWorkers resolves the workers= query knob against the server's
 // per-request cap: absent or oversized requests get the cap, explicit
-// smaller requests are honored, and garbage is a 400. Every
-// engine-driven endpoint (/explore, /grid.svg, /sweep.svg) runs its
-// pool at the resolved size and echoes it in the X-Explore-Workers
-// header.
+// smaller requests are honored, and garbage is a 400. /grid.svg and
+// /sweep.svg run their pool at the resolved size; /explore treats it as
+// the most dse.PoolSize may pick. Every engine-driven endpoint echoes
+// the pool size it ran in the X-Explore-Workers header.
 func (s *Server) requestWorkers(q url.Values) (int, error) {
 	ws := q.Get("workers")
 	if ws == "" {
@@ -363,8 +426,8 @@ func (s *Server) requestWorkers(q url.Values) (int, error) {
 }
 
 // handleExplore serves the design-space exploration as NDJSON. Without
-// a selection pass the candidates stream as the parallel engine
-// produces them. The first line is flushed at once, so it arrives
+// a selection pass the candidates stream in canonical order as the
+// engine produces them, grain by grain. The first line is flushed at once, so it arrives
 // long before a large sweep finishes; after that the stream flushes at
 // most once per exploreFlushInterval, and net/http's response buffer
 // turns the lines in between into large socket writes. The request
@@ -372,8 +435,11 @@ func (s *Server) requestWorkers(q url.Values) (int, error) {
 // workers mid-space, and the timeout= knob (or server default) bounds
 // it in time. The request waits in the server's admission queue for a
 // slot (429 only when the queue itself is full or the client is over
-// quota) and its worker pool is clamped to the per-request cap; the
-// effective pool size is echoed in the X-Explore-Workers header. While
+// quota). Its pool is dse.PoolSize of the requested size, clamped to
+// the per-request cap: the whole clamped pool for a heavy objective
+// (mission.battery, mission.flightsim, mission.stochastic), one inline
+// worker for a plain or cheap-objective exploration. The pool size
+// actually used is echoed in the X-Explore-Workers header. While
 // the queue is past its high-water mark an unbounded exploration is
 // downgraded to a capped top-K response, flagged via
 // X-Explore-Degraded.
@@ -443,6 +509,9 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Explore-Degraded", fmt.Sprintf("top=%d", req.TopK))
 	}
 
+	// Only a heavy objective pays for the pool; everything else runs
+	// inline, and the header reports the pool actually used.
+	workers = dse.PoolSize(req.Objective, workers)
 	w.Header().Set("X-Explore-Workers", strconv.Itoa(workers))
 	e := dse.Explorer{
 		Catalog:     s.cat,
@@ -451,9 +520,9 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		Workers:     workers,
 		Objective:   req.Objective,
 	}
-	var objCols []dse.ObjectiveColumn
+	enc := lineEncoder{objName: req.ObjectiveName}
 	if req.Objective != nil {
-		objCols = req.Objective.Columns()
+		enc.cols = req.Objective.Columns()
 	}
 
 	// Selection passes need the full slate; they respond only once the
@@ -477,8 +546,8 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		// first — which makes it spillable as a store artifact (a
 		// repeat top-K or Pareto query then answers from disk).
 		var body []byte
-		for _, c := range cands {
-			body = appendExploreLine(body, c, req.ObjectiveName, objCols)
+		for i := range cands {
+			body = enc.appendLine(body, &cands[i])
 		}
 		if storeKey != "" && len(body) > 0 && ctx.Err() == nil {
 			s.store.Put(storeKey, body)
@@ -517,7 +586,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 			_, _ = dst.Write(append(line, '}', '\n'))
 			break
 		}
-		line = appendExploreLine(line[:0], cand, req.ObjectiveName, objCols)
+		line = enc.appendLine(line[:0], &cand)
 		if _, err := dst.Write(line); err != nil {
 			complete = false
 			break // write failure: client went away

@@ -2,6 +2,7 @@ package skyline
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"io"
 	"math"
@@ -319,13 +320,10 @@ func TestExploreStreamsAndDisconnectCancels(t *testing.T) {
 // a later chunk reaches the client well before the response ends,
 // rather than only with the final flush.
 func TestExploreStreamFlushesOnInterval(t *testing.T) {
-	// The chunk fault fires on the parallel path only, and the
-	// per-request pool is capped at GOMAXPROCS.
-	if runtime.GOMAXPROCS(0) < 2 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	}
-	// 64 candidates on 2 workers: grains of 8, each worker walking 4 of
-	// them in sequence, so the stream spans about 4 chunk delays.
+	// A plain exploration streams inline whatever workers= asks for,
+	// and the chunk fault fires on the inline chunk loop too: 64
+	// candidates in grains of 8, walked in sequence, so the stream
+	// spans 8 chunk delays.
 	cat := catalog.Synthetic(2, 4, 8)
 	srv := httptest.NewServer(NewServerWith(cat, Options{Cache: core.NewCache()}))
 	defer srv.Close()
@@ -337,8 +335,8 @@ func TestExploreStreamFlushesOnInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if got := resp.Header.Get("X-Explore-Workers"); got != "2" {
-		t.Fatalf("X-Explore-Workers = %q, want 2", got)
+	if got := resp.Header.Get("X-Explore-Workers"); got != "1" {
+		t.Fatalf("X-Explore-Workers = %q, want 1", got)
 	}
 	const grain = 8
 	br := bufio.NewReader(resp.Body)
@@ -362,6 +360,48 @@ func TestExploreStreamFlushesOnInterval(t *testing.T) {
 	}
 	if early := end.Sub(laterChunkAt); early < chunkDelay/2 {
 		t.Fatalf("line %d arrived %v before the end of the response, want at least %v: the stream did not flush after its first line", grain+1, early, chunkDelay/2)
+	}
+}
+
+// TestExplorePanicInlineEndsStreamCleanly arms a panic at the chunk
+// fault site and streams a plain /explore, which runs the chunk loop
+// inline on the handler's goroutine: the panic must be recovered into a
+// terminal {"error":…} line, and the server must keep serving.
+func TestExplorePanicInlineEndsStreamCleanly(t *testing.T) {
+	srv := httptest.NewServer(NewServerWith(nil, Options{Cache: core.NewCache()}))
+	defer srv.Close()
+	disarm := faultinject.Enable(faultinject.SiteDSEChunk, faultinject.Fault{Panic: true})
+	defer disarm()
+
+	resp, err := http.Get(srv.URL + "/explore")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200 (a streamed exploration reports engine errors in-band)", resp.StatusCode)
+	}
+	if got := resp.Header.Get("X-Explore-Workers"); got != "1" {
+		t.Fatalf("X-Explore-Workers = %q, want 1 (inline)", got)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
+	var last struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
+		t.Fatalf("last line %q: %v", lines[len(lines)-1], err)
+	}
+	if !strings.Contains(last.Error, "panic") {
+		t.Fatalf("last line %q is not a terminal panic error", lines[len(lines)-1])
+	}
+
+	disarm()
+	if got := exploreLines(t, srv.URL+"/explore"); len(got) == 0 {
+		t.Fatal("no candidates after disarm: the server stopped serving")
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -13,7 +15,7 @@ import (
 
 // exploreLine converts a candidate into the ExploreCandidateJSON wire
 // struct. Encoded with json.Encoder it is the reflection-based oracle
-// appendExploreLine must match byte for byte. cols and objName are the
+// lineEncoder must match byte for byte. cols and objName are the
 // active objective's columns and registry name (nil/"" on plain
 // explorations).
 func exploreLine(c dse.Candidate, objName string, cols []dse.ObjectiveColumn) ExploreCandidateJSON {
@@ -49,49 +51,64 @@ func exploreLine(c dse.Candidate, objName string, cols []dse.ObjectiveColumn) Ex
 	return out
 }
 
-// requireSameLine diffs appendExploreLine against the json.Encoder
+// requireSameLine diffs a fresh lineEncoder against the json.Encoder
 // oracle for one candidate.
 func requireSameLine(t *testing.T, c dse.Candidate, objName string, cols []dse.ObjectiveColumn) {
 	t.Helper()
+	requireSameNextLine(t, &lineEncoder{objName: objName, cols: cols}, c)
+}
+
+// requireSameNextLine diffs enc's next line — encoded with whatever
+// state the lines before it left behind — against the json.Encoder
+// oracle.
+func requireSameNextLine(t *testing.T, enc *lineEncoder, c dse.Candidate) {
+	t.Helper()
 	var want bytes.Buffer
-	if err := json.NewEncoder(&want).Encode(exploreLine(c, objName, cols)); err != nil {
+	if err := json.NewEncoder(&want).Encode(exploreLine(c, enc.objName, enc.cols)); err != nil {
 		t.Fatal(err)
 	}
 	// A non-empty prefix checks the encoder appends rather than
 	// overwrites.
-	got := appendExploreLine([]byte("prefix"), c, objName, cols)
+	got := enc.appendLine([]byte("prefix"), &c)
 	if !bytes.Equal(got[len("prefix"):], want.Bytes()) {
-		t.Fatalf("%s (objective %q):\n got %s\nwant %s", c.Name(), objName, got[len("prefix"):], want.Bytes())
+		t.Fatalf("%s (objective %q):\n got %s\nwant %s", c.Name(), enc.objName, got[len("prefix"):], want.Bytes())
 	}
 }
 
-// TestAppendExploreLineMatchesEncoder diffs the production line encoder
-// against json.Encoder over every candidate of two catalogs, plain and
-// under each mission objective.
-func TestAppendExploreLineMatchesEncoder(t *testing.T) {
+// encoderCase is one catalog and space the encoder tests explore.
+type encoderCase struct {
+	name  string
+	cat   *catalog.Catalog
+	space dse.Space
+}
+
+// encoderCases are the default catalog with its sensor axis — so lines
+// both with and without the omitempty sensor field are compared — and
+// the 2048-candidate algorithm-heavy catalog.
+func encoderCases() []encoderCase {
 	def := catalog.Default()
 	defSpace := defaultSpace(def)
-	// The default catalog also runs its sensor axis, so lines both with
-	// and without the omitempty sensor field are compared.
 	defSpace.Sensors = append([]string{""}, def.SensorNames()...)
 	heavy := catalog.SyntheticAlgoHeavy(8, 16, 16)
-	for _, tc := range []struct {
-		name  string
-		cat   *catalog.Catalog
-		space dse.Space
-	}{
+	return []encoderCase{
 		{"default", def, defSpace},
 		{"algoheavy", heavy, defaultSpace(heavy)},
-	} {
+	}
+}
+
+// forEachExploration enumerates every encoder case, plain and under each
+// mission objective, and hands fn the slate with the objective's name
+// and columns.
+func forEachExploration(t *testing.T, fn func(tc encoderCase, objName string, ev dse.Evaluator, cands []dse.Candidate)) {
+	t.Helper()
+	for _, tc := range encoderCases() {
 		for _, objName := range append([]string{""}, dse.ObjectiveNames()...) {
 			var ev dse.Evaluator
-			var cols []dse.ObjectiveColumn
 			if objName != "" {
 				var err error
 				if ev, err = dse.NewObjective(objName, tc.cat, 1); err != nil {
 					t.Fatal(err)
 				}
-				cols = ev.Columns()
 			}
 			cands, err := dse.Explorer{Catalog: tc.cat, Space: tc.space, Workers: 1, Objective: ev}.Enumerate()
 			if err != nil {
@@ -100,10 +117,141 @@ func TestAppendExploreLineMatchesEncoder(t *testing.T) {
 			if len(cands) == 0 {
 				t.Fatalf("%s %s: empty slate", tc.name, objName)
 			}
-			for _, c := range cands {
-				requireSameLine(t, c, objName, cols)
+			fn(tc, objName, ev, cands)
+		}
+	}
+}
+
+// columnsOf is ev's column set, nil on a plain exploration.
+func columnsOf(ev dse.Evaluator) []dse.ObjectiveColumn {
+	if ev == nil {
+		return nil
+	}
+	return ev.Columns()
+}
+
+// TestAppendExploreLineMatchesEncoder diffs the production line encoder
+// against json.Encoder over every candidate of two catalogs, plain and
+// under each mission objective.
+func TestAppendExploreLineMatchesEncoder(t *testing.T) {
+	forEachExploration(t, func(_ encoderCase, objName string, ev dse.Evaluator, cands []dse.Candidate) {
+		cols := columnsOf(ev)
+		for _, c := range cands {
+			requireSameLine(t, c, objName, cols)
+		}
+	})
+}
+
+// TestLineEncoderSequencesMatchEncoder runs one stateful lineEncoder
+// across whole slates in the three orders the server emits or could
+// emit — canonical (the stream), reversed, and the ranked top-K and
+// Pareto orders of the buffered path — diffing every line against the
+// json.Encoder oracle. A memoized field that failed to re-encode on a
+// change would surface as a stale value on the first line after it.
+func TestLineEncoderSequencesMatchEncoder(t *testing.T) {
+	forEachExploration(t, func(tc encoderCase, objName string, ev dse.Evaluator, cands []dse.Candidate) {
+		cols := columnsOf(ev)
+		rank, pareto := dse.MaxVelocity, []dse.Objective{dse.MaxVelocity, dse.MinPower}
+		if ev != nil {
+			rank = dse.ColumnObjective(cols, 0)
+			pareto = []dse.Objective{rank, dse.MinPower}
+		}
+		front, err := dse.ParetoFront(cands, pareto...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, order := range []struct {
+			name  string
+			cands []dse.Candidate
+		}{
+			{"canonical", cands},
+			{"reversed", reversed(cands)},
+			{"topk", dse.TopK(cands, rank, len(cands))},
+			{"topk10", dse.TopK(cands, rank, 10)},
+			{"pareto", front},
+		} {
+			enc := lineEncoder{objName: objName, cols: cols}
+			for _, c := range order.cands {
+				requireSameNextLine(t, &enc, c)
+			}
+			if t.Failed() {
+				t.Fatalf("%s %q: %s order diverged", tc.name, objName, order.name)
 			}
 		}
+	})
+}
+
+// reversed returns a reversed copy of cands.
+func reversed(cands []dse.Candidate) []dse.Candidate {
+	out := slices.Clone(cands)
+	slices.Reverse(out)
+	return out
+}
+
+// TestLineEncoderMemoNeighbours feeds one lineEncoder a base candidate
+// alternating with hand-built neighbours that each differ from it in
+// exactly one memoized field — including the values a careless memo
+// confuses: +0 and -0 payloads (equal as floats, different bits and
+// encodings), a NaN knee repeated (unequal as floats, same bits and
+// encoding) and an empty sensor between two named ones (the omitted
+// field must not reset or leak the memo), and a value too long to
+// memoize.
+func TestLineEncoderMemoNeighbours(t *testing.T) {
+	cat := catalog.Default()
+	cands, err := dse.Explorer{Catalog: cat, Space: defaultSpace(cat), Workers: 1}.Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := cands[0]
+	negZero, nan := math.Copysign(0, -1), math.NaN()
+	edits := []func(c *dse.Candidate){
+		func(c *dse.Candidate) { c.Selection.UAV += " II" },
+		func(c *dse.Candidate) { c.Selection.UAV = "a<b>&\"c\"" },
+		// Longer than the memo's fixed buffer: encoded every time.
+		func(c *dse.Candidate) { c.Selection.UAV = strings.Repeat("long airframe ", 8) },
+		func(c *dse.Candidate) { c.Selection.Compute += " (binned)" },
+		func(c *dse.Candidate) { c.Selection.Compute = "" },
+		func(c *dse.Candidate) { c.Selection.Sensor = "lidar" },
+		func(c *dse.Candidate) { c.Selection.Sensor = "sonar" },
+		func(c *dse.Candidate) { c.Analysis.Knee.Throughput = units.Hertz(nan) },
+		func(c *dse.Candidate) { c.Analysis.Knee.Throughput = units.Hertz(math.Inf(1)) },
+		func(c *dse.Candidate) { c.Analysis.Knee.Throughput *= 2 },
+		func(c *dse.Candidate) { c.Power = units.Watts(negZero) },
+		func(c *dse.Candidate) { c.Power = 0 },
+		func(c *dse.Candidate) { c.Power = units.Watts(1e-7) },
+		func(c *dse.Candidate) { c.Analysis.Config.Payload = 0 },
+		func(c *dse.Candidate) { c.Analysis.Config.Payload = units.Grams(negZero) },
+		func(c *dse.Candidate) { c.Analysis.Config.Payload = units.Grams(math.MaxFloat64) },
+		func(c *dse.Candidate) { c.Analysis.Bound++ },
+		func(c *dse.Candidate) { c.Analysis.Bound = -1 },
+		func(c *dse.Candidate) { c.Analysis.Class++ },
+		func(c *dse.Candidate) { c.Analysis.Class = 99 },
+	}
+	enc := lineEncoder{}
+	requireSameNextLine(t, &enc, base)
+	for _, edit := range edits {
+		n := base
+		edit(&n)
+		// Twice in a row (the memo hit), then back to base (the change
+		// undone).
+		requireSameNextLine(t, &enc, n)
+		requireSameNextLine(t, &enc, n)
+		requireSameNextLine(t, &enc, base)
+	}
+	// Edits chained without returning to base: each line differs from
+	// the previous one in exactly one field.
+	n := base
+	for _, edit := range edits {
+		edit(&n)
+		requireSameNextLine(t, &enc, n)
+	}
+	// Zeros of both signs back to back, in every memoized float.
+	for _, z := range []float64{0, negZero, negZero, 0, 0, negZero} {
+		n := base
+		n.Analysis.Knee.Throughput = units.Hertz(z)
+		n.Power = units.Watts(z)
+		n.Analysis.Config.Payload = units.Grams(z)
+		requireSameNextLine(t, &enc, n)
 	}
 }
 

@@ -35,9 +35,13 @@
 //	                      immediately, later lines at most once per
 //	                      10 ms) and a dropped connection
 //	                      cancels the exploration's workers. workers=N
-//	                      sizes the request's worker pool, clamped to the
-//	                      server's per-request cap; the effective size is
-//	                      echoed in the X-Explore-Workers header.
+//	                      bounds the request's worker pool, clamped to
+//	                      the server's per-request cap. Only a heavy
+//	                      objective (mission.battery, mission.flightsim,
+//	                      mission.stochastic) runs on that pool; plain
+//	                      and cheap-objective explorations run inline on
+//	                      one worker. The X-Explore-Workers header
+//	                      echoes the pool size actually used.
 //	/grid.svg        GET  two-knob GridSweep heatmap. Axes: x=, y= (one
 //	                      of payload|range|sensor|compute), bounds
 //	                      xlo=, xhi=, ylo=, yhi=, resolution nx=, ny=
@@ -121,7 +125,8 @@
 // Each request's worker pool is clamped to
 // Options.MaxWorkersPerRequest so one client cannot monopolize the
 // cores: the engine-driven endpoints accept the workers= knob and echo
-// the effective pool size in X-Explore-Workers. The page endpoints
+// the pool size they ran in X-Explore-Workers (on /explore, 1 unless
+// the objective is heavy enough to pay for the pool). The page endpoints
 // (/api/analyze, /plot.svg) memoize analyses in the process-wide
 // core.SharedCache (sharded, segmented-LRU eviction) unless Options
 // supplies a dedicated cache. /explore does not: each candidate is
