@@ -10,7 +10,7 @@
 // presets:
 //
 //   - Explorer (explore.go) pre-resolves every axis value against the
-//     catalog once, then walks the cross product in claim grains
+//     catalog once per compiled space (Compile), then walks the cross product in claim grains
 //     through one chunk loop. PoolSize picks where that loop runs from
 //     the objective's declared cost class (Evaluator.Heavy): a plain
 //     or cheap-objective exploration runs it inline on the caller's
@@ -34,20 +34,23 @@
 //     disconnected HTTP client, a deadline — stops in-flight grains
 //     between candidates instead of draining the space.
 //   - Analysis hot paths are partially evaluated (explore.go): the
-//     plan resolves every catalog lookup once per axis value, renders
-//     all cell names into one backing buffer, and precomputes the
-//     factored pieces of the F-1 model — one core.ModelPartial per
+//     plan resolves every catalog lookup once per compiled space,
+//     renders all cell names into one backing buffer, and precomputes
+//     the factored pieces of the F-1 model — one core.ModelPartial per
 //     distinct (airframe, payload, sensing range) triple (the a_max
 //     lookup and knee/roof derivation; the algorithm axis never touches
 //     the model, so algorithm-heavy spaces reuse each partial once per
 //     algorithm) and one core.Stage per distinct sensor, algorithm-on-
 //     compute and control rate. Building a candidate is then index math
 //     plus the allocation-free core.AnalyzeWithPartial combine —
-//     bit-identical to a from-scratch core.Analyze. The plan memoizes
+//     bit-identical to a from-scratch core.Analyze. All of it depends
+//     only on the catalog and the axis lists, so it lives in an
+//     immutable Compiled space (Compile) that any number of runs share;
+//     a run adds only its constraints and objective. The plan memoizes
 //     nothing per candidate: the combine is cheaper than a probe of a
 //     shared cache, so reuse across requests happens a level up, where
-//     the Skyline server's persistent result store replays whole
-//     responses.
+//     the Skyline server keeps one compiled space per axis selection
+//     and its persistent result store replays whole responses.
 //   - Sweep and GridSweep reuse the same factoring per point: a swept
 //     rate rebuilds one Stage, a swept range goes through
 //     ModelPartial.WithRange (reusing the a_max lookup), and only a
@@ -102,9 +105,14 @@ type Candidate struct {
 	Power units.Power
 	// Metrics are the mission-level metric columns, parallel to the
 	// exploring Evaluator's Columns(); nil on plain (objective-less)
-	// explorations. The slice may be shared with the analysis cache —
-	// treat it as read-only.
+	// explorations. Each candidate gets a fresh slice.
 	Metrics []float64
+	// Index is the candidate's position in the canonical (cell, sensor)
+	// enumeration of its space, counted before constraints:
+	// Index/Compiled.Sensors() is its cell. Selection passes (TopK,
+	// Rank, ParetoFront) copy candidates whole, so it survives them and
+	// maps any selected candidate back to its cell.
+	Index int
 }
 
 // Name renders the candidate's configuration name.

@@ -34,6 +34,12 @@ type Explorer struct {
 	// candidates a worker takes from its deque at once; 0 picks a size
 	// that rebalances skewed cells without measurable claim overhead.
 	ChunkSize int
+	// Compiled optionally supplies the space pre-resolved by Compile;
+	// Catalog and Space are then ignored. Nil compiles Catalog and Space
+	// for this run alone. A caller that explores one space repeatedly
+	// (the Skyline server, per axis selection) compiles it once and
+	// shares it across runs.
+	Compiled *Compiled
 	// Cache is not consulted: recomputing a candidate from the plan's
 	// partials is cheaper than probing a shared cache, and whole-request
 	// reuse is the Skyline server's persistent result store's job.
@@ -64,25 +70,17 @@ func (e Explorer) grain(n, workers int) int {
 	return stealGrain(n, workers)
 }
 
-// plan is the pre-resolved, partially evaluated exploration: every
-// catalog lookup is done once per axis value, and every part of the
+// Compiled is a design space resolved against a catalog and partially
+// evaluated: every catalog lookup is done once, and every part of the
 // F-1 analysis that depends on only a subset of the axes is computed
 // once per distinct subset value — one core.ModelPartial per distinct
 // (airframe, payload, sensing range) triple, one core.Stage per
-// distinct rate. Building candidate i is then index math, the
-// allocation-free core.AnalyzeWithPartial combine and a constraint
-// check: no catalog access, no acceleration-model evaluation, no
-// knee/roof recomputation.
-type plan struct {
-	cons Constraints
-	// obj is the optional mission-level evaluator, with its registry
-	// name, base Monte-Carlo seed (0 = deterministic) and column set
-	// resolved once at plan time.
-	obj     Evaluator
-	objName string
-	objSeed int64
-	objCols []ObjectiveColumn
-	uavs    []catalog.UAV
+// distinct rate. It depends only on the catalog and the axis lists, not
+// on constraints or an objective, so one Compiled serves any number of
+// runs: it is read-only after Compile returns and safe to share across
+// goroutines and requests (Explorer.Compiled).
+type Compiled struct {
+	uavs []catalog.UAV
 	// computes and computeMass are parallel: computeMass[i] is
 	// computes[i].TotalMass under the catalog's heatsink model.
 	computes    []catalog.Compute
@@ -104,6 +102,23 @@ type plan struct {
 	controlStages []core.Stage
 }
 
+// plan is one exploration run: a compiled space plus the run's view of
+// it — the constraints and the optional objective. Building candidate i
+// is index math, the allocation-free core.AnalyzeWithPartial combine
+// and a constraint check: no catalog access, no acceleration-model
+// evaluation, no knee/roof recomputation.
+type plan struct {
+	*Compiled
+	cons Constraints
+	// obj is the optional mission-level evaluator, with its registry
+	// name, base Monte-Carlo seed (0 = deterministic) and column set
+	// resolved once at plan time.
+	obj     Evaluator
+	objName string
+	objSeed int64
+	objCols []ObjectiveColumn
+}
+
 // sensorChoice is one value of the sensor axis: a named catalog sensor,
 // or the UAV's default (the empty name).
 type sensorChoice struct {
@@ -123,28 +138,62 @@ type cell struct {
 	name  string
 }
 
-// total is the number of candidates the plan will visit.
-func (p *plan) total() int { return len(p.cells) * len(p.sensors) }
+// Len is the number of candidates a run over the space visits before
+// constraints: Cells()·Sensors().
+func (c *Compiled) Len() int { return len(c.cells) * len(c.sensors) }
 
-// newPlan resolves the space against the catalog. Unknown UAVs,
-// computes, sensors and algorithms are errors (as in the serial
-// engine, which hit them on the first analysis); a registered
-// algorithm without a performance-table row on a given compute is
-// silently skipped — that combination is not a buildable system.
-func newPlan(cat *catalog.Catalog, space Space, cons Constraints, obj Evaluator) (*plan, error) {
+// Cells is the number of buildable (UAV, compute, algorithm) cells.
+func (c *Compiled) Cells() int { return len(c.cells) }
+
+// Sensors is the number of sensor-axis choices crossed with every
+// cell. Candidate.Index i belongs to cell i/Sensors().
+func (c *Compiled) Sensors() int { return len(c.sensors) }
+
+// Cell returns cell i's configuration name and selection, exactly as
+// every candidate of the cell carries them (Analysis.Config.Name and
+// Selection); the selection's Sensor is empty because the sensor axis
+// crosses the cell.
+func (c *Compiled) Cell(i int) (name string, sel catalog.Selection) {
+	cl := &c.cells[i]
+	return cl.name, catalog.Selection{UAV: c.uavs[cl.u].Name, Compute: c.computes[cl.c].Name, Algorithm: cl.algo}
+}
+
+// newPlan attaches a run's view — constraints and objective — to e's
+// compiled space, compiling e.Catalog and e.Space first when
+// e.Compiled is nil. The SiteDSEPlan fault fires here, once per run,
+// whether or not the space was compiled in advance.
+func newPlan(e *Explorer) (*plan, error) {
 	if err := faultinject.Fire(faultinject.SiteDSEPlan); err != nil {
 		return nil, fmt.Errorf("dse: planning exploration: %w", err)
 	}
-	if len(space.UAVs) == 0 || len(space.Computes) == 0 || len(space.Algorithms) == 0 {
-		return nil, fmt.Errorf("dse: space must name at least one UAV, compute and algorithm")
+	c := e.Compiled
+	if c == nil {
+		var err error
+		if c, err = Compile(e.Catalog, e.Space); err != nil {
+			return nil, err
+		}
 	}
-	p := &plan{cons: cons}
-	if obj != nil {
+	p := &plan{Compiled: c, cons: e.Constraints}
+	if obj := e.Objective; obj != nil {
 		p.obj = obj
 		p.objName = obj.Name()
 		p.objSeed = obj.Seed()
 		p.objCols = obj.Columns()
 	}
+	return p, nil
+}
+
+// Compile resolves the space against the catalog. Unknown UAVs,
+// computes, sensors and algorithms are errors; a registered algorithm
+// without a performance-table row on a given compute is silently
+// skipped — that combination is not a buildable system. The axis order
+// is the candidate order: two spaces listing the same names in
+// different orders compile to different enumerations.
+func Compile(cat *catalog.Catalog, space Space) (*Compiled, error) {
+	if len(space.UAVs) == 0 || len(space.Computes) == 0 || len(space.Algorithms) == 0 {
+		return nil, fmt.Errorf("dse: space must name at least one UAV, compute and algorithm")
+	}
+	p := &Compiled{}
 	p.uavs = make([]catalog.UAV, len(space.UAVs))
 	for i, name := range space.UAVs {
 		u, err := cat.UAV(name)
@@ -266,7 +315,7 @@ func newPlan(cat *catalog.Catalog, space Space, cons Constraints, obj Evaluator)
 // algorithm axis is absent by construction — it only contributes the
 // compute stage — so an algorithm-heavy space reuses each partial once
 // per algorithm.
-func (p *plan) precompute(pairUsed []bool) {
+func (p *Compiled) precompute(pairUsed []bool) {
 	nS := len(p.sensors)
 	p.sensorStages = make([]core.Stage, len(p.uavs)*nS)
 	p.controlStages = make([]core.Stage, len(p.uavs))
@@ -333,6 +382,7 @@ func (p *plan) candidateInto(ctx context.Context, i int, cand *Candidate, arena 
 		return false, fmt.Errorf("dse: analyzing %s/%s/%s: %w", uav.Name, comp.Name, cl.algo, err)
 	}
 	cand.Selection = catalog.Selection{UAV: uav.Name, Compute: comp.Name, Algorithm: cl.algo, Sensor: sc.name}
+	cand.Index = i
 	cand.Power = comp.TDP
 	// The caller's slot may have carried a scored candidate (the inline
 	// stream reuses one grain buffer); a plain exploration must not leak
@@ -430,12 +480,12 @@ func (e Explorer) Candidates(ctx context.Context) iter.Seq2[Candidate, error] {
 			//reprolint:allow ctxflow nil-ctx compatibility guard, documented as running uncancellable
 			ctx = context.Background()
 		}
-		p, err := newPlan(e.Catalog, e.Space, e.Constraints, e.Objective)
+		p, err := newPlan(&e)
 		if err != nil {
 			yield(Candidate{}, err)
 			return
 		}
-		n := p.total()
+		n := p.Len()
 		if n == 0 {
 			return
 		}
@@ -487,11 +537,11 @@ func (e Explorer) ExploreContext(ctx context.Context) ([]Candidate, error) {
 		//reprolint:allow ctxflow nil-ctx compatibility guard, documented as running uncancellable
 		ctx = context.Background()
 	}
-	p, err := newPlan(e.Catalog, e.Space, e.Constraints, e.Objective)
+	p, err := newPlan(&e)
 	if err != nil {
 		return nil, err
 	}
-	n := p.total()
+	n := p.Len()
 	workers := e.workers()
 	grain := e.grain(n, workers)
 	if workers == 1 || n <= grain {

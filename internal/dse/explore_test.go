@@ -425,3 +425,94 @@ func TestExploreContextMatchesEnumerate(t *testing.T) {
 	}
 	requireEqualCandidates(t, want, got)
 }
+
+// TestCompiledMatchesUncompiled runs one compiled space under several
+// views — constraints, an objective, worker counts — and requires each
+// run to equal an Explorer that compiles Catalog and Space itself. The
+// compiled space is shared read-only by every run, as the Skyline
+// server shares it across requests.
+func TestCompiledMatchesUncompiled(t *testing.T) {
+	cat := catalog.Default()
+	space := synthSpace(cat)
+	space.Sensors = append([]string{""}, cat.SensorNames()...)
+	comp, err := Compile(cat, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if comp.Len() != comp.Cells()*comp.Sensors() || comp.Sensors() != len(space.Sensors) {
+		t.Fatalf("Len %d, Cells %d, Sensors %d", comp.Len(), comp.Cells(), comp.Sensors())
+	}
+	thermal, err := NewObjective("mission.thermal", cat, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, view := range []Explorer{
+		{},
+		{Constraints: Constraints{MaxPower: units.Watts(10), MinVelocity: units.MetersPerSecond(2)}},
+		{Objective: thermal},
+		{Objective: thermal, Constraints: Constraints{MaxPayload: units.Grams(300)}},
+	} {
+		for _, workers := range []int{1, 3} {
+			fresh := view
+			fresh.Catalog, fresh.Space, fresh.Workers = cat, space, workers
+			want, err := fresh.Enumerate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			compiled := view
+			compiled.Compiled, compiled.Workers = comp, workers
+			got, err := compiled.Enumerate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireEqualCandidates(t, want, got)
+		}
+	}
+}
+
+// TestCandidateIndexMapsToCell checks that Candidate.Index is the
+// canonical position — the identity on an unconstrained run — and that
+// it maps every candidate, including those that survive constraints,
+// TopK and ParetoFront, back to the compiled cell whose name and
+// selection it carries.
+func TestCandidateIndexMapsToCell(t *testing.T) {
+	cat := catalog.Default()
+	space := synthSpace(cat)
+	space.Sensors = append([]string{""}, cat.SensorNames()...)
+	comp, err := Compile(cat, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := Explorer{Compiled: comp, Workers: 1}.Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != comp.Len() {
+		t.Fatalf("%d candidates, want Len %d", len(all), comp.Len())
+	}
+	for i, c := range all {
+		if c.Index != i {
+			t.Fatalf("candidate %d has Index %d", i, c.Index)
+		}
+	}
+	constrained, err := Explorer{Catalog: cat, Space: space, Constraints: Constraints{MaxPower: units.Watts(10)}, Workers: 2}.Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	front, err := ParetoFront(all, MaxVelocity, MinPower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, set := range [][]Candidate{constrained, TopK(all, MinPayload, 10), Rank(all, Balance), front} {
+		for _, c := range set {
+			name, sel := comp.Cell(c.Index / comp.Sensors())
+			sel.Sensor = c.Selection.Sensor
+			if name != c.Name() || sel != c.Selection {
+				t.Fatalf("Index %d maps to cell %q %+v, candidate is %q %+v", c.Index, name, sel, c.Name(), c.Selection)
+			}
+			if !reflect.DeepEqual(c, all[c.Index]) {
+				t.Fatalf("Index %d: candidate differs from the canonical one at that index", c.Index)
+			}
+		}
+	}
+}

@@ -43,7 +43,10 @@ const (
 	// SiteDSEPlan fires once per engine run, at the head of the
 	// exploration planner and of GridSweepContext: an armed error fails
 	// any request that would run the engine, which is how the warm
-	// store tests prove a restarted server never recomputed.
+	// store tests prove a restarted server never recomputed. It fires
+	// when a run attaches its view to a compiled space, not when the
+	// space is compiled, so a run over a space compiled and cached
+	// earlier still trips it.
 	SiteDSEPlan = "dse.plan"
 	// SiteStoreRead fires before each read attempt of a persistent
 	// result-store artifact: an armed error exercises the retry loop

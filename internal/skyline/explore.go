@@ -283,20 +283,27 @@ const exploreFlushInterval = 10 * time.Millisecond
 // sequences). It is the single encoder of both the streaming path and
 // the buffered top-K/Pareto path.
 //
-// Candidates arrive in long runs that share their UAV, compute,
-// sensor, knee, power, payload, bound and class, so the encoder keeps
-// the previous line's encoding of each of those fields and re-encodes
-// one only when it changes (string inequality for strings,
-// math.Float64bits inequality for floats). The state lives for one
-// response: a lineEncoder is never shared across requests.
+// Everything the axes determine is encoded before the response starts:
+// the line head {"name":…,"uav":…,"compute":…,"algorithm":… comes from
+// the compiled space's prefix table, by the candidate's cell
+// (dse.Candidate.Index), so no name is escaped per line. Of the rest,
+// candidates arrive in long runs that share their sensor, knee, power,
+// payload, bound and class, so the encoder keeps the previous line's
+// encoding of each of those fields and re-encodes one only when it
+// changes (string inequality for strings, math.Float64bits inequality
+// for floats). The run memos live for one response: a lineEncoder is
+// never shared across requests.
 type lineEncoder struct {
+	// space is the compiled space the candidates come from; its prefix
+	// table supplies each line's head.
+	space *compiledSpace
 	// objName and cols are the active objective's registry name and
 	// columns ("" and nil on plain explorations).
 	objName string
 	cols    []dse.ObjectiveColumn
 
-	uav, compute, sensor, bound, class memoString
-	knee, power, payload               memoFloat
+	sensor, bound, class memoString
+	knee, power, payload memoFloat
 }
 
 // memoString is one string field's last value and its JSON encoding,
@@ -349,14 +356,7 @@ func (m *memoFloat) append(dst []byte, f float64) []byte {
 //reprolint:hotpath
 func (e *lineEncoder) appendLine(dst []byte, c *dse.Candidate) []byte {
 	an := &c.Analysis
-	dst = append(dst, `{"name":`...)
-	dst = appendJSONString(dst, an.Config.Name)
-	dst = append(dst, `,"uav":`...)
-	dst = e.uav.append(dst, c.Selection.UAV)
-	dst = append(dst, `,"compute":`...)
-	dst = e.compute.append(dst, c.Selection.Compute)
-	dst = append(dst, `,"algorithm":`...)
-	dst = appendJSONString(dst, c.Selection.Algorithm)
+	dst = append(dst, e.space.prefix(c.Index)...)
 	if c.Selection.Sensor != "" {
 		dst = append(dst, `,"sensor":`...)
 		dst = e.sensor.append(dst, c.Selection.Sensor)
@@ -520,7 +520,15 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		Workers:     workers,
 		Objective:   req.Objective,
 	}
-	enc := lineEncoder{objName: req.ObjectiveName}
+	// The axis selection's compiled space comes from the server's
+	// table; the run attaches only its constraints and objective. A
+	// space that fails to compile leaves e to compile on its own, so
+	// the engine reports the error where it always has.
+	cs, err := s.spaces.get(s.cat, req.Space)
+	if err == nil {
+		e.Compiled = cs.compiled
+	}
+	enc := lineEncoder{space: cs, objName: req.ObjectiveName}
 	if req.Objective != nil {
 		enc.cols = req.Objective.Columns()
 	}

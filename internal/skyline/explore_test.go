@@ -417,9 +417,22 @@ func TestExploreEmptySlateIsEmptyBody(t *testing.T) {
 
 // BenchmarkExploreEndpoint measures a full /explore request over the
 // default catalog — the serving hot path (parse, explore, encode,
-// flush) end to end. Part of the CI bench smoke step.
-func BenchmarkExploreEndpoint(b *testing.B) {
-	srv := httptest.NewServer(NewServer(nil))
+// flush) end to end, with the server's compiled space warm. Part of
+// the CI bench smoke step.
+func BenchmarkExploreEndpoint(b *testing.B) { benchExploreEndpoint(b, nil, 0) }
+
+// BenchmarkExploreEndpointAlgoHeavy streams all 2048 candidates of
+// catalog.SyntheticAlgoHeavy(8, 16, 16), the perfbench explore-stream
+// shape: the request where per-line encoding dominates.
+func BenchmarkExploreEndpointAlgoHeavy(b *testing.B) {
+	benchExploreEndpoint(b, catalog.SyntheticAlgoHeavy(8, 16, 16), 2048)
+}
+
+// benchExploreEndpoint drives default /explore requests at a server
+// over cat and requires want lines per response (0 = any non-empty
+// stream).
+func benchExploreEndpoint(b *testing.B, cat *catalog.Catalog, want int) {
+	srv := httptest.NewServer(NewServer(cat))
 	defer srv.Close()
 	client := srv.Client()
 	b.ResetTimer()
@@ -437,8 +450,8 @@ func BenchmarkExploreEndpoint(b *testing.B) {
 		if err := sc.Err(); err != nil {
 			b.Fatal(err)
 		}
-		if n == 0 {
-			b.Fatal("no candidates streamed")
+		if n == 0 || (want > 0 && n != want) {
+			b.Fatalf("streamed %d candidates, want %d", n, want)
 		}
 	}
 }

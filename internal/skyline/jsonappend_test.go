@@ -3,6 +3,7 @@ package skyline
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -51,11 +52,104 @@ func exploreLine(c dse.Candidate, objName string, cols []dse.ObjectiveColumn) Ex
 	return out
 }
 
-// requireSameLine diffs a fresh lineEncoder against the json.Encoder
-// oracle for one candidate.
-func requireSameLine(t *testing.T, c dse.Candidate, objName string, cols []dse.ObjectiveColumn) {
+// requireSameLine diffs a fresh lineEncoder over cs against the
+// json.Encoder oracle for one candidate.
+func requireSameLine(t *testing.T, cs *compiledSpace, c dse.Candidate, objName string, cols []dse.ObjectiveColumn) {
 	t.Helper()
-	requireSameNextLine(t, &lineEncoder{objName: objName, cols: cols}, c)
+	requireSameNextLine(t, &lineEncoder{space: cs, objName: objName, cols: cols}, c)
+}
+
+// mustCompileSpace builds the server's compiled-space entry for space.
+func mustCompileSpace(t testing.TB, cat *catalog.Catalog, space dse.Space) *compiledSpace {
+	t.Helper()
+	cs, err := newCompiledSpace(cat, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cs
+}
+
+// Hostile names for hostileCatalog: between them the UAV, compute,
+// algorithm and sensor axes need every escape class appendJSONString
+// implements — the quote, backslash and HTML-sensitive bytes, control
+// bytes (named and \u00XX), U+2028/U+2029, invalid UTF-8 — plus plain
+// non-ASCII text and names longer than the 64-byte memo buffer.
+var (
+	hostileUAVs = []string{
+		`a<b>&"c" \ frame`,
+		"ctl \b\f\n\r\t \x00\x1f\x7f frame",
+		strings.Repeat("long airframe é;", 6),
+	}
+	hostileComputes = []string{
+		"soc \u2028 line \u2029 para",
+		"bad \xff\xfe utf8 soc",
+		"</script><soc>",
+	}
+	hostileAlgorithms = []string{
+		`net "quoted" \path\`,
+		"ünïcødé ✈ net",
+		strings.Repeat("<deep>&", 12),
+	}
+	hostileSensors = []string{
+		"cam \x00\x1f \u2028 x",
+		strings.Repeat("\xffsensor>", 10),
+		`plain & "cam"`,
+	}
+)
+
+// hostileCatalog is catalog.Synthetic(3, 3, 3) with every component
+// renamed to a hostile name, so names that need escaping reach the
+// encoder the way production names do: through the compiled space's
+// prefix table and the engine's Selection, not by editing a built
+// candidate.
+func hostileCatalog() *catalog.Catalog {
+	base := catalog.Synthetic(3, 3, 3)
+	cat := catalog.New()
+	must := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	sensors := make([]catalog.Sensor, len(hostileSensors))
+	for i, name := range hostileSensors {
+		s, err := base.Sensor(fmt.Sprintf("synth-cam-%03d", i))
+		must(err)
+		s.Name = name
+		cat.AddSensor(s)
+		sensors[i] = s
+	}
+	for i, name := range hostileUAVs {
+		u, err := base.UAV(fmt.Sprintf("synth-uav-%03d", i))
+		must(err)
+		u.Name, u.Frame.Name, u.DefaultSensor = name, name, sensors[i]
+		cat.AddUAV(u)
+	}
+	for i, name := range hostileComputes {
+		c, err := base.Compute(fmt.Sprintf("synth-soc-%03d", i))
+		must(err)
+		c.Name = name
+		cat.AddCompute(c)
+	}
+	for a, algo := range hostileAlgorithms {
+		al, err := base.Algorithm(fmt.Sprintf("synth-net-%03d", a))
+		must(err)
+		al.Name = algo
+		cat.AddAlgorithm(al)
+		for p, comp := range hostileComputes {
+			r, err := base.Perf(fmt.Sprintf("synth-net-%03d", a), fmt.Sprintf("synth-soc-%03d", p))
+			must(err)
+			cat.SetPerf(algo, comp, r)
+		}
+	}
+	return cat
+}
+
+// TestHostileCatalogIsValid pins that catalog validation accepts every
+// hostile name class, so each one can reach the encoder.
+func TestHostileCatalogIsValid(t *testing.T) {
+	if err := hostileCatalog().Check(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // requireSameNextLine diffs enc's next line — encoded with whatever
@@ -83,25 +177,33 @@ type encoderCase struct {
 }
 
 // encoderCases are the default catalog with its sensor axis — so lines
-// both with and without the omitempty sensor field are compared — and
-// the 2048-candidate algorithm-heavy catalog.
+// both with and without the omitempty sensor field are compared — the
+// 2048-candidate algorithm-heavy catalog, and the hostile-name catalog
+// with its sensor axis.
 func encoderCases() []encoderCase {
 	def := catalog.Default()
 	defSpace := defaultSpace(def)
 	defSpace.Sensors = append([]string{""}, def.SensorNames()...)
 	heavy := catalog.SyntheticAlgoHeavy(8, 16, 16)
+	hostile := hostileCatalog()
+	hostileSpace := defaultSpace(hostile)
+	hostileSpace.Sensors = append([]string{""}, hostile.SensorNames()...)
 	return []encoderCase{
 		{"default", def, defSpace},
 		{"algoheavy", heavy, defaultSpace(heavy)},
+		{"hostile", hostile, hostileSpace},
 	}
 }
 
 // forEachExploration enumerates every encoder case, plain and under each
-// mission objective, and hands fn the slate with the objective's name
-// and columns.
-func forEachExploration(t *testing.T, fn func(tc encoderCase, objName string, ev dse.Evaluator, cands []dse.Candidate)) {
+// mission objective, and hands fn the case's compiled space and the
+// slate, with the objective's name and columns. The slate comes from an
+// uncompiled engine run, so the encoder's prefix table and the
+// candidates it encodes are built independently.
+func forEachExploration(t *testing.T, fn func(tc encoderCase, cs *compiledSpace, objName string, ev dse.Evaluator, cands []dse.Candidate)) {
 	t.Helper()
 	for _, tc := range encoderCases() {
+		cs := mustCompileSpace(t, tc.cat, tc.space)
 		for _, objName := range append([]string{""}, dse.ObjectiveNames()...) {
 			var ev dse.Evaluator
 			if objName != "" {
@@ -117,7 +219,7 @@ func forEachExploration(t *testing.T, fn func(tc encoderCase, objName string, ev
 			if len(cands) == 0 {
 				t.Fatalf("%s %s: empty slate", tc.name, objName)
 			}
-			fn(tc, objName, ev, cands)
+			fn(tc, cs, objName, ev, cands)
 		}
 	}
 }
@@ -131,13 +233,13 @@ func columnsOf(ev dse.Evaluator) []dse.ObjectiveColumn {
 }
 
 // TestAppendExploreLineMatchesEncoder diffs the production line encoder
-// against json.Encoder over every candidate of two catalogs, plain and
+// against json.Encoder over every candidate of three catalogs, plain and
 // under each mission objective.
 func TestAppendExploreLineMatchesEncoder(t *testing.T) {
-	forEachExploration(t, func(_ encoderCase, objName string, ev dse.Evaluator, cands []dse.Candidate) {
+	forEachExploration(t, func(_ encoderCase, cs *compiledSpace, objName string, ev dse.Evaluator, cands []dse.Candidate) {
 		cols := columnsOf(ev)
 		for _, c := range cands {
-			requireSameLine(t, c, objName, cols)
+			requireSameLine(t, cs, c, objName, cols)
 		}
 	})
 }
@@ -149,7 +251,7 @@ func TestAppendExploreLineMatchesEncoder(t *testing.T) {
 // json.Encoder oracle. A memoized field that failed to re-encode on a
 // change would surface as a stale value on the first line after it.
 func TestLineEncoderSequencesMatchEncoder(t *testing.T) {
-	forEachExploration(t, func(tc encoderCase, objName string, ev dse.Evaluator, cands []dse.Candidate) {
+	forEachExploration(t, func(tc encoderCase, cs *compiledSpace, objName string, ev dse.Evaluator, cands []dse.Candidate) {
 		cols := columnsOf(ev)
 		rank, pareto := dse.MaxVelocity, []dse.Objective{dse.MaxVelocity, dse.MinPower}
 		if ev != nil {
@@ -170,7 +272,7 @@ func TestLineEncoderSequencesMatchEncoder(t *testing.T) {
 			{"topk10", dse.TopK(cands, rank, 10)},
 			{"pareto", front},
 		} {
-			enc := lineEncoder{objName: objName, cols: cols}
+			enc := lineEncoder{space: cs, objName: objName, cols: cols}
 			for _, c := range order.cands {
 				requireSameNextLine(t, &enc, c)
 			}
@@ -195,7 +297,9 @@ func reversed(cands []dse.Candidate) []dse.Candidate {
 // encodings), a NaN knee repeated (unequal as floats, same bits and
 // encoding) and an empty sensor between two named ones (the omitted
 // field must not reset or leak the memo), and a value too long to
-// memoize.
+// memoize. The axis names before the sensor come from the compiled
+// space's prefix table, not from the candidate, so editing them here
+// would not reach the encoder; hostileCatalog covers them instead.
 func TestLineEncoderMemoNeighbours(t *testing.T) {
 	cat := catalog.Default()
 	cands, err := dse.Explorer{Catalog: cat, Space: defaultSpace(cat), Workers: 1}.Enumerate()
@@ -205,14 +309,10 @@ func TestLineEncoderMemoNeighbours(t *testing.T) {
 	base := cands[0]
 	negZero, nan := math.Copysign(0, -1), math.NaN()
 	edits := []func(c *dse.Candidate){
-		func(c *dse.Candidate) { c.Selection.UAV += " II" },
-		func(c *dse.Candidate) { c.Selection.UAV = "a<b>&\"c\"" },
-		// Longer than the memo's fixed buffer: encoded every time.
-		func(c *dse.Candidate) { c.Selection.UAV = strings.Repeat("long airframe ", 8) },
-		func(c *dse.Candidate) { c.Selection.Compute += " (binned)" },
-		func(c *dse.Candidate) { c.Selection.Compute = "" },
 		func(c *dse.Candidate) { c.Selection.Sensor = "lidar" },
 		func(c *dse.Candidate) { c.Selection.Sensor = "sonar" },
+		// Longer than the memo's fixed buffer: encoded every time.
+		func(c *dse.Candidate) { c.Selection.Sensor = strings.Repeat("long sensor ", 8) },
 		func(c *dse.Candidate) { c.Analysis.Knee.Throughput = units.Hertz(nan) },
 		func(c *dse.Candidate) { c.Analysis.Knee.Throughput = units.Hertz(math.Inf(1)) },
 		func(c *dse.Candidate) { c.Analysis.Knee.Throughput *= 2 },
@@ -227,7 +327,7 @@ func TestLineEncoderMemoNeighbours(t *testing.T) {
 		func(c *dse.Candidate) { c.Analysis.Class++ },
 		func(c *dse.Candidate) { c.Analysis.Class = 99 },
 	}
-	enc := lineEncoder{}
+	enc := lineEncoder{space: mustCompileSpace(t, cat, defaultSpace(cat))}
 	requireSameNextLine(t, &enc, base)
 	for _, edit := range edits {
 		n := base
@@ -256,15 +356,18 @@ func TestLineEncoderMemoNeighbours(t *testing.T) {
 }
 
 // TestAppendExploreLineEdgeCases covers what real catalogs rarely
-// produce: names that need escaping, non-finite and zero readings,
-// extreme magnitudes, non-finite metrics, and objective lines whose
-// metric count does not match the columns.
+// produce: a sensor name and objective names that need escaping,
+// non-finite and zero readings, extreme magnitudes, non-finite metrics,
+// and objective lines whose metric count does not match the columns.
+// Axis names that need escaping come from hostileCatalog, through the
+// prefix table.
 func TestAppendExploreLineEdgeCases(t *testing.T) {
 	cat := catalog.Default()
 	cands, err := dse.Explorer{Catalog: cat, Space: defaultSpace(cat), Workers: 1}.Enumerate()
 	if err != nil {
 		t.Fatal(err)
 	}
+	cs := mustCompileSpace(t, cat, defaultSpace(cat))
 	inf, nan := math.Inf(1), math.NaN()
 	lineSep, paraSep := string(rune(0x2028)), string(rune(0x2029))
 	cols := []dse.ObjectiveColumn{{Name: "a<b>&c"}, {Name: "line" + lineSep + "sep"}}
@@ -273,11 +376,7 @@ func TestAppendExploreLineEdgeCases(t *testing.T) {
 		objName string
 		cols    []dse.ObjectiveColumn
 	}{
-		{edit: func(c *dse.Candidate) {
-			c.Analysis.Config.Name = "a<b>&c \"q\" \\ \x00\x1f\x7f \xff\xfe " + lineSep + paraSep + string(rune(0xe9))
-			c.Selection.UAV = "\b\f\n\r\t"
-			c.Selection.Sensor = "</script>"
-		}},
+		{edit: func(c *dse.Candidate) { c.Selection.Sensor = "</script> \b\f\n\r\t \xff" + paraSep }},
 		{edit: func(c *dse.Candidate) {
 			c.Analysis.GapFactor = inf
 			c.Analysis.Action = units.Hertz(inf)
@@ -304,7 +403,7 @@ func TestAppendExploreLineEdgeCases(t *testing.T) {
 	} {
 		c := cands[i%len(cands)]
 		tc.edit(&c)
-		requireSameLine(t, c, tc.objName, tc.cols)
+		requireSameLine(t, cs, c, tc.objName, tc.cols)
 	}
 }
 

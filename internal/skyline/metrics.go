@@ -210,6 +210,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	summary("skyline_queue_wait_seconds", "Time admitted requests spent queued.", &adm.queueWait, "")
 
+	gauge("skyline_compiled_spaces", "Compiled /explore design spaces resident in the server's table.", float64(s.spaces.len()))
+	counter("skyline_compiled_space_hits_total", "Engine-run /explore requests whose design space was already compiled.")("", float64(s.spaces.hits.Load()))
+	counter("skyline_compiled_space_misses_total", "Engine-run /explore requests that compiled their design space.")("", float64(s.spaces.misses.Load()))
+
 	st := s.cache.Stats()
 	gauge("skyline_cache_entries", "Memoized analyses resident in the shared cache.", float64(st.Entries))
 	gauge("skyline_cache_capacity", "Shared cache entry bound.", float64(st.Capacity))

@@ -51,6 +51,9 @@ type Server struct {
 	// fingerprint baked into every store key.
 	store  *store.Store
 	catRev string
+	// spaces holds the compiled /explore design spaces, one per recent
+	// axis selection, each with its pre-encoded line prefixes.
+	spaces spaceTable
 }
 
 // defaultDegradeTopK is the saturation cap on unbounded /explore

@@ -181,6 +181,11 @@ func TestStoreSupersetFilter(t *testing.T) {
 	if _, hdr := fetch(t, ss.srv, smallExplore(nil)); hdr != "hit" {
 		t.Errorf("superset re-GET: X-Explore-Store = %q, want \"hit\"", hdr)
 	}
+	// Only the engine run compiled a space; the filtered and exact
+	// store hits returned before the compiled-space table.
+	if hits, misses := ss.s.spaces.hits.Load(), ss.s.spaces.misses.Load(); hits != 0 || misses != 1 {
+		t.Errorf("compiled-space table hits/misses = %d/%d, want 0/1", hits, misses)
+	}
 }
 
 // onlyArtifact returns the path of the store's single on-disk object.
