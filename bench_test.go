@@ -354,9 +354,9 @@ func BenchmarkEnumerateParallel(b *testing.B) { benchEnumerate(b, runtime.GOMAXP
 // last airframe's cells cost ~1600 spin iterations each while the
 // first's cost none, so a static partition of the space leaves most of
 // a fixed-chunk pool idle behind the expensive tail. They exist to
-// catch regressions in the work-stealing scheduler's rebalancing —
-// on a multi-core runner the parallel/serial ratio here is the
-// headline rebalancing win.
+// catch regressions in the chunk runner's load balancing — on a
+// multi-core runner the parallel/serial ratio here is the headline
+// balancing win.
 
 func benchEnumerateSkewed(b *testing.B, workers int) {
 	cat := catalog.SyntheticSkewed(5, 16, 16, 400) // 1280 candidates, heavy tail
@@ -378,7 +378,8 @@ func benchEnumerateSkewed(b *testing.B, workers int) {
 func BenchmarkEnumerateSkewedSerial(b *testing.B) { benchEnumerateSkewed(b, 1) }
 
 // BenchmarkEnumerateSkewedParallel fans the skewed space across all
-// cores; work stealing keeps the pool busy through the expensive tail.
+// cores; small claims from the shared chunk counter keep the pool busy
+// through the expensive tail.
 func BenchmarkEnumerateSkewedParallel(b *testing.B) { benchEnumerateSkewed(b, runtime.GOMAXPROCS(0)) }
 
 // --- Algorithm-heavy benches ----------------------------------------------
@@ -456,8 +457,8 @@ func BenchmarkEnumerateMissionStochasticSerial(b *testing.B) {
 }
 
 // BenchmarkEnumerateMissionStochasticParallel fans the Monte-Carlo
-// objective across all cores — the case the work-stealing pool exists
-// for: per-candidate cost dwarfs scheduling overhead.
+// objective across all cores — the case the worker pool exists for:
+// per-candidate cost dwarfs scheduling overhead.
 func BenchmarkEnumerateMissionStochasticParallel(b *testing.B) {
 	benchEnumerateMission(b, "mission.stochastic", runtime.GOMAXPROCS(0))
 }
@@ -478,7 +479,7 @@ func BenchmarkEnumerateAlgoHeavyParallel(b *testing.B) {
 // partial can cache it, and PayloadSpinAccel makes each point's cost
 // proportional to its payload value — point i is linearly more
 // expensive than point 0. These benches are the post-factoring
-// regression probe for the work-stealing scheduler's rebalancing; on a
+// regression probe for the chunk runner's load balancing; on a
 // multi-core runner their parallel/serial ratio is the gate the CI
 // bench-multicore job asserts.
 
@@ -509,8 +510,8 @@ func benchSweepPayloadSkewed(b *testing.B, workers int) {
 func BenchmarkSweepPayloadSkewedSerial(b *testing.B) { benchSweepPayloadSkewed(b, 1) }
 
 // BenchmarkSweepPayloadSkewedParallel fans the skewed sweep across all
-// cores; steal-half splitting keeps workers busy through the expensive
-// high-payload tail.
+// cores; small claims from the shared chunk counter keep workers busy
+// through the expensive high-payload tail.
 func BenchmarkSweepPayloadSkewedParallel(b *testing.B) {
 	benchSweepPayloadSkewed(b, runtime.GOMAXPROCS(0))
 }

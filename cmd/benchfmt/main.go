@@ -28,7 +28,7 @@
 // When the record has a "multicore" section, rows named there take
 // their ns/op bound from that section's measurement × the tighter
 // -multicore-ns-ratio: the multicore rows are the scheduler's headline
-// claims (steal-half rebalancing, contended cache hits), captured on
+// claims (skewed-load balancing, contended cache hits), captured on
 // the same runner class that gates them, so they do not get the
 // cross-machine slack the general bound allows. Alloc bounds are
 // unchanged — they come from the main section either way.

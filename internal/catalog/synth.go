@@ -25,9 +25,9 @@ func Synthetic(nUAVs, nComputes, nAlgos int) *Catalog {
 // cost grows with the cell index — the last UAV's cells dominate the
 // wall clock while the first UAV's are nearly free. The analysis
 // *results* are identical to Synthetic's (the spin changes nothing but
-// time), which makes this the fixture for scheduler-rebalancing tests
+// time), which makes this the fixture for scheduler load-balancing tests
 // and benches: a static partition of a skewed space stalls on the
-// expensive tail, a work-stealing one spreads it.
+// expensive tail, dynamic chunk claiming spreads it.
 func SyntheticSkewed(nUAVs, nComputes, nAlgos, spin int) *Catalog {
 	return synthetic(nUAVs, nComputes, nAlgos, spin)
 }

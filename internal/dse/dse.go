@@ -14,19 +14,18 @@
 //     through one chunk loop. PoolSize picks where that loop runs from
 //     the objective's declared cost class (Evaluator.Heavy): a plain
 //     or cheap-objective exploration runs it inline on the caller's
-//     goroutine, where the pool's goroutines and ordered merge would
+//     goroutine, where the pool's goroutines and chunk handoffs would
 //     cost more than the candidates themselves; a heavy (simulated)
-//     objective fans it out across the package's work-stealing
-//     scheduler (pool.go): per-worker deques seeded with coarse
-//     contiguous index ranges, small claim grains, and steal-half
-//     splitting when a worker runs dry — so skewed spaces, where some
-//     cells analyze orders of magnitude slower than others, rebalance
-//     dynamically instead of stalling the pool behind one slow
-//     fixed-size chunk. Grain results are re-merged in index order by
-//     a bounded reorder sink, so the output is deterministic and
-//     element-for-element identical to a serial scan for every worker
-//     count, grain size and steal interleaving. Both paths share the
-//     chunk loop's fault site, panic recovery and cancellation checks.
+//     objective fans it out across the package's chunk runner
+//     (pool.go): workers claim small grains from one shared atomic
+//     counter, so skewed spaces, where some cells analyze orders of
+//     magnitude slower than others, balance themselves instead of
+//     stalling the pool behind one slow fixed share. Claims are
+//     ascending and results land in per-chunk slots read back in chunk
+//     order, so the output is deterministic and element-for-element
+//     identical to a serial scan for every worker count and grain
+//     size. Both paths share the chunk loop's fault site, panic
+//     recovery and cancellation checks.
 //     Explorer.Candidates streams the space as an iter.Seq2, so
 //     callers can filter or stop early without materializing it;
 //     Explorer.ExploreContext (and its no-context shorthand Enumerate)
@@ -73,13 +72,13 @@
 //     sort-based O(n log n) skyline for two, and a sort-filter
 //     block-nested-loop scan with early termination for three or more.
 //   - Sweep and GridSweep (sweep.go) evaluate knob sweeps over the
-//     same work-stealing scheduler with position-stable writes; they
+//     same chunk runner with position-stable writes; they
 //     are the engine behind the Skyline server's /sweep.svg and
 //     /grid.svg and the experiment reproductions.
 //
 // The package's cross-cutting invariants — caller-supplied context
 // flow, deterministic emission order, and the hot-path allocation
-// discipline of the combine and scheduler (//reprolint:hotpath) — are
+// discipline of the combine and chunk loop (//reprolint:hotpath) — are
 // mechanized by the internal/lint analyzers and gated in CI via
 // cmd/reprolint; see docs/INVARIANTS.md for each invariant, its
 // motivation, and the escape hatches.

@@ -16,11 +16,10 @@ import (
 // Explorer is the design-space exploration engine: it walks the
 // (UAV × compute × algorithm × sensor) cross product in claim grains —
 // inline on the caller's goroutine, or fanned out across the package's
-// work-stealing scheduler when the per-candidate cost pays for it — and
-// streams the surviving candidates in the canonical serial order, so
-// parallel output is element-for-element identical to Workers=1 output
-// even when the space is skewed and cells rebalance between workers
-// mid-flight.
+// chunk runner when the per-candidate cost pays for it — and streams
+// the surviving candidates in the canonical serial order, so parallel
+// output is element-for-element identical to Workers=1 output even when
+// the space is skewed and workers finish their chunks out of order.
 type Explorer struct {
 	Catalog     *catalog.Catalog
 	Space       Space
@@ -30,9 +29,9 @@ type Explorer struct {
 	// one. 1 runs the chunk loop inline on the caller's goroutine (no
 	// goroutines); an explicit count is honored as given.
 	Workers int
-	// ChunkSize is the scheduler's claim grain — the number of
-	// candidates a worker takes from its deque at once; 0 picks a size
-	// that rebalances skewed cells without measurable claim overhead.
+	// ChunkSize is the claim grain — the number of candidates a worker
+	// takes from the shared chunk counter at once; 0 picks a size that
+	// spreads skewed cells without measurable claim overhead.
 	ChunkSize int
 	// Compiled optionally supplies the space pre-resolved by Compile;
 	// Catalog and Space are then ignored. Nil compiles Catalog and Space
@@ -62,12 +61,12 @@ func (e Explorer) workers() int {
 	return PoolSize(e.Objective, runtime.GOMAXPROCS(0))
 }
 
-// grain resolves the scheduler's claim quantum for n candidates.
+// grain resolves the chunk runner's claim quantum for n candidates.
 func (e Explorer) grain(n, workers int) int {
 	if e.ChunkSize > 0 {
 		return e.ChunkSize
 	}
-	return stealGrain(n, workers)
+	return chunkGrain(n, workers)
 }
 
 // Compiled is a design space resolved against a catalog and partially
@@ -398,7 +397,7 @@ func (p *plan) candidateInto(ctx context.Context, i int, cand *Candidate, arena 
 	// never runs a Monte-Carlo simulation. Monte-Carlo evaluators get a
 	// per-candidate seed mixed from the base seed and the candidate
 	// identity, which is what keeps results identical across worker
-	// counts and steal interleavings.
+	// counts and chunk schedules.
 	var seed int64
 	if p.objSeed != 0 {
 		seed = candSeed(p.objSeed, cl.name, sc.name)
@@ -506,7 +505,7 @@ func (e Explorer) Candidates(ctx context.Context) iter.Seq2[Candidate, error] {
 		workers := e.workers()
 		grain := e.grain(n, workers)
 		if workers > 1 && n > grain {
-			for cands, err := range streamStealing(ctx, p, n, grain, workers) {
+			for cands, err := range streamChunks(ctx, p, n, grain, workers) {
 				if !emit(cands, err) {
 					return
 				}
@@ -556,14 +555,7 @@ func (e Explorer) ExploreContext(ctx context.Context) ([]Candidate, error) {
 		}
 		return out, nil
 	}
-	var out []Candidate
-	for cands, err := range streamStealing(ctx, p, n, grain, workers) {
-		out = append(out, cands...)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return exploreChunks(ctx, p, n, grain, workers)
 }
 
 // Enumerate collects the full exploration without a cancellation

@@ -27,20 +27,20 @@ type ObjectiveColumn struct {
 //
 //   - Columns() is fixed for the evaluator's lifetime; len(out) equals
 //     len(Columns()) on every Evaluate call.
-//   - Evaluate must be safe for concurrent use: the work-stealing
-//     scheduler calls it from every worker. All per-candidate state —
-//     including any RNG — must be local to the call.
+//   - Evaluate must be safe for concurrent use: the chunk runner calls
+//     it from every worker. All per-candidate state — including any
+//     RNG — must be local to the call.
 //   - Monte-Carlo evaluators derive their randomness from the seed
 //     argument only (the plan mixes the base Seed() with the candidate
 //     identity, so results are identical for every worker count and
-//     steal interleaving) and must honor ctx between trials: a
-//     cancelled request abandons the simulation mid-candidate.
+//     chunk schedule) and must honor ctx between trials: a cancelled
+//     request abandons the simulation mid-candidate.
 //   - Seed() is the base seed for stochastic evaluators and 0 for
 //     deterministic ones; 0 keeps the seed out of the cache key.
 //   - Heavy() is the evaluator's declared per-candidate cost class:
 //     true when one Evaluate call costs tens of microseconds or more,
-//     enough to pay for the work-stealing pool (see PoolSize). It is
-//     fixed for the evaluator's lifetime.
+//     enough to pay for the worker pool (see PoolSize). It is fixed
+//     for the evaluator's lifetime.
 //   - A candidate the objective cannot score (a degenerate
 //     configuration, an unwinnable scenario) is marked worst — -Inf in
 //     Maximize columns, +Inf elsewhere — never NaN: the Pareto skyline
@@ -94,10 +94,10 @@ func ColumnIndex(cols []ObjectiveColumn, name string) int {
 
 // PoolSize is the exploration engine's one execution policy: the
 // number of workers an exploration scored by ev should run on, given
-// at most max. The pool's goroutines, grain handoffs and ordered merge
-// cost more than they save unless each candidate is expensive, so only
-// a heavy evaluator gets the pool (max workers); a plain exploration
-// (nil ev) or a cheap analytic objective runs inline on one worker.
+// at most max. The pool's goroutines and chunk handoffs cost more than
+// they save unless each candidate is expensive, so only a heavy
+// evaluator gets the pool (max workers); a plain exploration (nil ev)
+// or a cheap analytic objective runs inline on one worker.
 // The crossovers behind the split are in docs/OBJECTIVES.md.
 func PoolSize(ev Evaluator, max int) int {
 	if ev != nil && ev.Heavy() {

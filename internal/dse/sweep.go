@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
@@ -208,18 +207,19 @@ func SweepContext(ctx context.Context, cfg core.Config, knob Knob, lo, hi float6
 }
 
 // forEachParallel runs eval(0..n-1), serially for small n and across
-// the package's work-stealing scheduler otherwise (workers <= 0 picks
-// GOMAXPROCS). Workers write only their own indices, so results are
-// position-stable and identical for every worker count; skewed
-// workloads — some indices far slower than others — rebalance through
-// steal-half splitting instead of stalling a fixed chunk. The first
-// error aborts the remaining work (the result is discarded wholesale
-// anyway), and cancelling ctx stops every worker between evaluations;
-// the returned error is the lowest-indexed recorded failure, or ctx's
-// error when nothing else failed first. A panicking evaluation —
-// corrupt model data, an armed fault — is recovered into that
-// position's error instead of unwinding a pool goroutine and killing
-// the process.
+// the package's chunk runner otherwise (workers <= 0 picks GOMAXPROCS).
+// Workers write only their own indices, so results are position-stable
+// and identical for every worker count; skewed workloads — some indices
+// far slower than others — balance through small claims from the
+// shared chunk counter instead of stalling a fixed per-worker share.
+// The first error stops further claims (the result is discarded
+// wholesale anyway), and cancelling ctx stops every worker between
+// evaluations. Claims are ascending and every claimed chunk runs to its
+// own first failure, so the returned error is the lowest-indexed
+// failure — the one a serial loop hits — or ctx's error when nothing
+// failed. A panicking evaluation — corrupt model data, an armed fault —
+// is recovered into that position's error instead of unwinding a pool
+// goroutine and killing the process.
 func forEachParallel(ctx context.Context, n, workers int, eval func(i int) error) error {
 	done := ctx.Done()
 	if workers <= 0 {
@@ -249,29 +249,35 @@ func forEachParallel(ctx context.Context, n, workers int, eval func(i int) error
 		}
 		return nil
 	}
-	var mu sync.Mutex
-	firstIdx, firstErr := n, error(nil)
-	stealRun(ctx, n, workers, stealGrain(n, workers), func(_ int, g span) bool {
-		for i := g.start; i < g.end; i++ {
+	// Whole grains while at least 2·workers of them remain, then chunks
+	// shrinking toward single points: claims are ascending, so without
+	// the taper a skewed sweep's last, costliest grain would run alone.
+	var spans []span
+	for start, grain := 0, chunkGrain(n, workers); start < n; {
+		end := start + min(max((n-start)/(2*workers), 1), grain)
+		spans = append(spans, span{start: start, end: end})
+		start = end
+	}
+	errs := make([]error, len(spans))
+	runChunks(ctx, len(spans), workers, 1, nil, func(k int, _ span) bool {
+		for i := spans[k].start; i < spans[k].end; i++ {
 			select {
 			case <-done:
 				return false
 			default:
 			}
 			if err := safeEval(i); err != nil {
-				mu.Lock()
-				if i < firstIdx {
-					firstIdx, firstErr = i, err
-				}
-				mu.Unlock()
-				return false // abort the remaining work
+				errs[k] = err
+				return false
 			}
 		}
 		return true
 	})
-	// stealRun has joined every worker, so the error record is settled.
-	if firstErr != nil {
-		return firstErr
+	// runChunks has joined every worker, so the error slots are settled.
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	return ctx.Err()
 }

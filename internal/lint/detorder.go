@@ -5,9 +5,9 @@ import (
 	"go/types"
 )
 
-// DetOrder enforces the byte-identical-output guarantee from PR 4's
-// ordered sink: parallel exploration must produce exactly the bytes the
-// serial path would, and any map iteration on the candidate-emission or
+// DetOrder enforces the byte-identical-output guarantee behind the dse
+// chunk runner's in-order handoff: parallel exploration must produce
+// exactly the bytes the serial path would, and any map iteration on the candidate-emission or
 // serialization path injects nondeterminism. Every `range` over a map
 // in the emission-path packages is flagged; a range whose order is
 // neutralized before the result is observable (keys collected then

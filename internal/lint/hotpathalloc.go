@@ -13,7 +13,7 @@ import (
 //	//reprolint:hotpath
 //
 // (seeded on AnalyzeWithPartial/Into, candidateInto, the chunk-combine
-// body, and the steal loop) may not:
+// body, and the /explore line encoder) may not:
 //
 //   - call the fmt.Sprint family (Sprintf/Sprint/Sprintln) — each call
 //     allocates its result and boxes every operand. fmt.Errorf stays
