@@ -293,6 +293,25 @@ func BenchmarkPipelineJitterSim(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulateJitterMissionShape prices one mission.stochastic
+// candidate's kernel: the objective's three stage jitters (5 %, 30 %,
+// 2 %) and 400 samples. Every iteration takes a fresh seed, so unlike
+// BenchmarkPipelineJitterSim's single replayed seed the branch
+// predictor cannot learn the latencies it partitions.
+func BenchmarkSimulateJitterMissionShape(b *testing.B) {
+	stages := []pipeline.JitterStage{
+		{Stage: pipeline.StageHz("sensor", units.Hertz(60)), Jitter: 0.05},
+		{Stage: pipeline.StageHz("compute", units.Hertz(178)), Jitter: 0.30},
+		{Stage: pipeline.StageHz("control", units.Hertz(1000)), Jitter: 0.02},
+	}
+	ctx := context.Background()
+	for i := 0; i < b.N; i++ {
+		if _, err := pipeline.SimulateJitterContext(ctx, stages, 400, int64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkDSESweep(b *testing.B) {
 	cat := catalog.Default()
 	cfg, err := cat.BuildConfig(catalog.Selection{

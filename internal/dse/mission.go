@@ -399,11 +399,13 @@ func (e stochasticEval) Seed() int64              { return e.seed }
 func (stochasticEval) Columns() []ObjectiveColumn { return stochasticColumns }
 func (stochasticEval) Heavy() bool                { return true }
 
+//reprolint:hotpath
 func (e stochasticEval) Evaluate(ctx context.Context, cand *Candidate, seed int64, out []float64) error {
 	cfg := &cand.Analysis.Config
 	rates := [...]units.Frequency{cfg.SensorRate, cfg.ComputeRate, cfg.ControlRate}
 	for _, rate := range rates {
-		if rate <= 0 || math.IsInf(rate.Hertz(), 1) {
+		// Negated so that a NaN rate scores worst too.
+		if !(rate > 0) || math.IsInf(rate.Hertz(), 1) {
 			worstMetrics(stochasticColumns, out)
 			return nil
 		}

@@ -1,10 +1,13 @@
 package dse
 
 import (
+	"context"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/units"
 )
 
 func TestNewObjectiveUnknownListsRegistry(t *testing.T) {
@@ -153,5 +156,35 @@ func TestPoolSizeFollowsCostClass(t *testing.T) {
 	}
 	if got := (Explorer{}).workers(); got != 1 {
 		t.Errorf("plain Explorer with Workers 0 resolved to %d workers, want 1", got)
+	}
+}
+
+// TestStochasticNaNRateScoresWorst feeds mission.stochastic a candidate
+// with one NaN stage rate. NaN passes a "rate <= 0" guard and used to
+// reach the simulator, whose NaN timeline left a zero worst interval:
+// eff_rate_hz came out +Inf, the best possible score. It must score
+// worst on every column instead.
+func TestStochasticNaNRateScoresWorst(t *testing.T) {
+	ev, err := NewObjective("mission.stochastic", catalog.Default(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, len(ev.Columns()))
+	worstMetrics(ev.Columns(), want)
+	for stage := 0; stage < 3; stage++ {
+		var cand Candidate
+		cfg := &cand.Analysis.Config
+		rates := [...]*units.Frequency{&cfg.SensorRate, &cfg.ComputeRate, &cfg.ControlRate}
+		*rates[0], *rates[1], *rates[2] = units.Hertz(60), units.Hertz(178), units.Hertz(1000)
+		*rates[stage] = units.Hertz(math.NaN())
+		out := make([]float64, len(want))
+		if err := ev.Evaluate(context.Background(), &cand, 1, out); err != nil {
+			t.Fatalf("stage %d: %v", stage, err)
+		}
+		for i := range want {
+			if out[i] != want[i] {
+				t.Errorf("NaN rate on stage %d: %s = %v, want %v", stage, ev.Columns()[i].Name, out[i], want[i])
+			}
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/units"
 )
@@ -45,9 +44,14 @@ func SimulateJitter(stages []JitterStage, n int, seed int64) (StochasticResult, 
 
 // SimulateJitterContext is SimulateJitter with cancellation checked
 // every sample batch, so an abandoned request stops a Monte-Carlo
-// simulation mid-candidate instead of draining it. The RNG stream is
-// identical to SimulateJitter for the same seed — the cancellation
-// probe draws nothing — so results stay byte-deterministic.
+// simulation mid-candidate instead of draining it. Its draws are
+// math/rand's value stream, bit for bit: the ones
+// rand.New(rand.NewSource(seed)).Float64 returns, from a copy of that
+// source kept on the stack. The cancellation probe draws nothing, so
+// results stay byte-deterministic. Up to maxStackStages stages and
+// maxStackLatencies kept samples it allocates nothing.
+//
+//reprolint:hotpath
 func SimulateJitterContext(ctx context.Context, stages []JitterStage, n int, seed int64) (StochasticResult, error) {
 	if len(stages) == 0 {
 		return StochasticResult{}, fmt.Errorf("pipeline: no stages")
@@ -56,23 +60,33 @@ func SimulateJitterContext(ctx context.Context, stages []JitterStage, n int, see
 		return StochasticResult{}, fmt.Errorf("pipeline: jitter simulation needs ≥20 samples, got %d", n)
 	}
 	for _, s := range stages {
-		if s.Latency <= 0 || math.IsInf(s.Latency.Seconds(), 1) {
+		// Negated so that a NaN latency or jitter fails too.
+		if lat := s.Latency.Seconds(); !(lat > 0) || math.IsInf(lat, 1) {
 			return StochasticResult{}, fmt.Errorf("pipeline: stage %q needs a positive finite latency", s.Name)
 		}
-		if s.Jitter < 0 || s.Jitter >= 1 {
+		if !(s.Jitter >= 0 && s.Jitter < 1) {
 			return StochasticResult{}, fmt.Errorf("pipeline: stage %q jitter must be in [0,1), got %v", s.Name, s.Jitter)
 		}
 	}
-	rng := rand.New(rand.NewSource(seed))
+	var rng jitterSource
+	rng.seed(seed)
 	ns := len(stages)
-	// One backing array for the two completion-time rows of the
-	// flow-shop recurrence.
-	rows := make([]float64, 2*(ns+1))
-	prev, cur := rows[:ns+1], rows[ns+1:]
+	// The two completion-time rows of the flow-shop recurrence.
+	var rowBuf [2 * (maxStackStages + 1)]float64
+	rows := rowBuf[:]
+	if ns > maxStackStages {
+		rows = make([]float64, 2*(ns+1))
+	}
+	prev, cur := rows[:ns+1], rows[ns+1:2*(ns+1)]
 	warm := n / 10
 	// Only the latencies are kept; the output times reduce to the first,
 	// the last and the widest gap as the loop runs.
-	latencies := make([]float64, n-warm)
+	var latBuf [maxStackLatencies]float64
+	latencies := latBuf[:]
+	if n-warm > len(latBuf) {
+		latencies = make([]float64, n-warm)
+	}
+	latencies = latencies[:n-warm]
 	var first, last, worst float64
 	nan := 0
 	for k := 0; k < n; k++ {
@@ -89,7 +103,7 @@ func SimulateJitterContext(ctx context.Context, stages []JitterStage, n int, see
 		entry := cur[0]
 		for i := 0; i < ns; i++ {
 			mean := stages[i].Latency.Seconds()
-			lat := mean * (1 + stages[i].Jitter*(2*rng.Float64()-1))
+			lat := mean * (1 + stages[i].Jitter*(2*rng.float64()-1))
 			done := cur[i] + lat
 			if i < ns-1 && prev[i+2] > done {
 				done = prev[i+2] // blocked by the next stage
@@ -117,11 +131,11 @@ func SimulateJitterContext(ctx context.Context, stages []JitterStage, n int, see
 	if span := last - first; span > 0 {
 		res.MeanThroughput = units.Hertz(float64(len(latencies)-1) / span)
 	}
-	// Nearest-rank percentiles by selection instead of a full sort: p99
-	// first, then p50 inside the p99 prefix, which holds the i99+1
-	// smallest latencies. The order statistics are the ones a sorted copy
+	// Nearest-rank percentiles by selection instead of a full sort: p50
+	// first, then p99 inside latencies[i50:], which holds every latency
+	// from rank i50 up. The order statistics are the ones a sorted copy
 	// holds at those ranks, bit for bit.
-	i99, i50 := nearestRank(len(latencies), 0.99), nearestRank(len(latencies), 0.50)
+	i50, i99 := nearestRank(len(latencies), 0.50), nearestRank(len(latencies), 0.99)
 	if nan > 0 {
 		// sort.Float64s orders NaNs first; match it.
 		j := 0
@@ -132,10 +146,19 @@ func SimulateJitterContext(ctx context.Context, stages []JitterStage, n int, see
 			}
 		}
 	}
-	res.P99Latency = units.Seconds(orderStat(latencies, nan, i99))
-	res.P50Latency = units.Seconds(orderStat(latencies[:i99+1], nan, i50))
+	res.P50Latency = units.Seconds(orderStat(latencies, nan, i50))
+	res.P99Latency = units.Seconds(orderStat(latencies[i50:], max(nan-i50, 0), i99-i50))
 	return res, nil
 }
+
+// maxStackStages and maxStackLatencies bound the pipelines whose
+// flow-shop rows and kept latencies live in fixed-size arrays on
+// SimulateJitterContext's stack; larger ones fall back to make.
+// mission.stochastic's three stages and 400 samples fit.
+const (
+	maxStackStages    = 8
+	maxStackLatencies = 512
+)
 
 // nearestRank is the 0-based index of the nearest-rank p-quantile of m
 // sorted values.
@@ -145,8 +168,8 @@ func nearestRank(m int, p float64) int {
 
 // orderStat returns the value a sorted copy of a (NaNs first) holds at
 // index k, given that a's nan NaNs already sit at its front. It leaves
-// a[:k] holding the k smallest values, so a later call on a[:k+1] with
-// a smaller rank selects within them.
+// a[k:] holding every value from rank k up, still NaNs first, so a
+// later call on a[k:] with a rank shifted down by k selects among them.
 func orderStat(a []float64, nan, k int) float64 {
 	if k < nan {
 		return a[k]
@@ -156,10 +179,16 @@ func orderStat(a []float64, nan, k int) float64 {
 
 // selectKth partially orders a (which must hold no NaN) so that a[k]
 // is the k-th smallest value, everything before it ≤ a[k] and
-// everything after it ≥ a[k], and returns a[k]: Hoare partitioning
-// around a median-of-three pivot, iterating into the side that holds k.
-// Ties split evenly, so a constant slice (a jitter-free pipeline) stays
-// linear.
+// everything after it ≥ a[k], and returns a[k]. Each round takes a
+// median-of-three pivot and partitions branch-free: every element is
+// swapped into place unconditionally and only the boundary's advance
+// depends on the comparison (b2i), so no branch mispredicts on real
+// latency data. A tie guard keeps a constant slice (a jitter-free
+// pipeline) linear: when the < pass leaves less than a quarter of the
+// range below the pivot, a second <= pass gathers the pivot's ties
+// beside it, and a rank among them is answered at once.
+//
+//reprolint:hotpath
 func selectKth(a []float64, k int) float64 {
 	lo, hi := 0, len(a)-1
 	for lo < hi {
@@ -174,32 +203,46 @@ func selectKth(a []float64, k int) float64 {
 			a[hi], a[mid] = a[mid], a[hi]
 		}
 		pivot := a[mid]
-		i, j := lo, hi
-		for i <= j {
-			for a[i] < pivot {
-				i++
-			}
-			for pivot < a[j] {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
+		a[mid], a[hi] = a[hi], pivot
+		lt := lo
+		for i := lo; i < hi; i++ {
+			v := a[i]
+			a[i] = a[lt]
+			a[lt] = v
+			lt += b2i(v < pivot)
+		}
+		a[lt], a[hi] = pivot, a[lt]
+		// a[lo:lt] < pivot = a[lt] ≤ a[lt+1:hi+1].
+		eq := lt + 1
+		if 4*(lt-lo) < hi-lo+1 {
+			for i := eq; i <= hi; i++ {
+				v := a[i]
+				a[i] = a[eq]
+				a[eq] = v
+				eq += b2i(v <= pivot)
 			}
 		}
-		// Now a[lo:j+1] ≤ pivot ≤ a[i:hi+1], and anything between the
-		// two is the pivot itself.
+		// a[lt:eq] holds only the pivot's value.
 		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
+		case k < lt:
+			hi = lt - 1
+		case k >= eq:
+			lo = eq
 		default:
-			return a[k]
+			return pivot
 		}
 	}
 	return a[k]
+}
+
+// b2i is 1 for true and 0 for false. The compiler lowers it to a flag
+// set (SETcc), not a branch, which is what keeps selectKth's
+// partition passes branch-free.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // EffectiveActionRate is the conservative decision rate a safety

@@ -103,6 +103,25 @@ func TestSimulateJitterValidation(t *testing.T) {
 	if _, err := SimulateJitter(zero, 100, 1); err == nil {
 		t.Error("zero-latency stage accepted")
 	}
+	// NaN fails every ordered comparison, so a range check written as
+	// "reject if out of range" lets it through: a NaN stage then yields
+	// NaN percentiles and a zero worst interval, i.e. an infinite
+	// effective action rate.
+	nanLat := jitterPipeline(0.2)
+	nanLat[1].Stage = Stage{Name: "compute", Latency: units.Seconds(math.NaN())}
+	if _, err := SimulateJitter(nanLat, 100, 1); err == nil {
+		t.Error("NaN-latency stage accepted")
+	}
+	nanJitter := jitterPipeline(0.2)
+	nanJitter[0].Jitter = math.NaN()
+	if _, err := SimulateJitter(nanJitter, 100, 1); err == nil {
+		t.Error("NaN jitter accepted")
+	}
+	for _, stages := range [][]JitterStage{nanLat, nanJitter} {
+		if _, err := simulateJitterSorted(stages, 100, 1); err == nil {
+			t.Error("oracle accepted a NaN stage")
+		}
+	}
 }
 
 // More jitter never improves the worst interval (monotone degradation).
@@ -157,10 +176,10 @@ func simulateJitterSorted(stages []JitterStage, n int, seed int64) (StochasticRe
 		return StochasticResult{}, fmt.Errorf("pipeline: jitter simulation needs ≥20 samples, got %d", n)
 	}
 	for _, s := range stages {
-		if s.Latency <= 0 || math.IsInf(s.Latency.Seconds(), 1) {
+		if lat := s.Latency.Seconds(); !(lat > 0) || math.IsInf(lat, 1) {
 			return StochasticResult{}, fmt.Errorf("pipeline: stage %q needs a positive finite latency", s.Name)
 		}
-		if s.Jitter < 0 || s.Jitter >= 1 {
+		if !(s.Jitter >= 0 && s.Jitter < 1) {
 			return StochasticResult{}, fmt.Errorf("pipeline: stage %q jitter must be in [0,1), got %v", s.Name, s.Jitter)
 		}
 	}
@@ -285,6 +304,22 @@ func TestSimulateJitterMatchesSortedOracle(t *testing.T) {
 	}
 }
 
+// TestSimulateJitterDeepPipelineMatchesOracle covers pipelines deeper
+// than the kernel's stack rows (maxStackStages), whose rows fall back
+// to the heap.
+func TestSimulateJitterDeepPipelineMatchesOracle(t *testing.T) {
+	stages := make([]JitterStage, maxStackStages+3)
+	for i := range stages {
+		stages[i] = JitterStage{
+			Stage:  StageHz(fmt.Sprintf("s%d", i), units.Hertz(oracleStageRates[i%len(oracleStageRates)]*float64(1+i))),
+			Jitter: 0.3,
+		}
+	}
+	for seed := int64(1); seed <= 50; seed++ {
+		requireMatchesOracle(t, stages, 400, seed)
+	}
+}
+
 // TestSimulateJitterOverflowMatchesOracle drives the timeline past the
 // largest float64: latencies become +Inf and then NaN (Inf − Inf), the
 // one case where the percentile ranks must follow sort.Float64s' NaN-
@@ -311,19 +346,24 @@ func TestSimulateJitterOverflowMatchesOracle(t *testing.T) {
 
 func TestSelectKthMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 400; trial++ {
 		m := 1 + rng.Intn(300)
+		if trial%5 == 4 {
+			m = 1 + rng.Intn(5000)
+		}
 		vals := make([]float64, m)
 		for i := range vals {
-			switch trial % 4 {
+			switch trial % 5 {
 			case 0:
 				vals[i] = rng.Float64()
 			case 1:
 				vals[i] = float64(rng.Intn(4)) // heavy ties
 			case 2:
 				vals[i] = float64(i) // already sorted
-			default:
+			case 3:
 				vals[i] = float64(m - i) // reversed
+			default:
+				vals[i] = float64(rng.Intn(1 + trial%7)) // heavy ties, up to 5,000 long
 			}
 		}
 		sorted := append([]float64(nil), vals...)
@@ -338,6 +378,95 @@ func TestSelectKthMatchesSort(t *testing.T) {
 				t.Fatalf("trial %d: a[%d] = %v on the wrong side of a[%d] = %v", trial, i, a[i], k, a[k])
 			}
 		}
+	}
+}
+
+// TestSelectKthConstantIsLinear selects the median of a constant
+// slice of 2²⁰ values. Without the tie guard each round would peel off
+// one element and this would take ~2³⁹ steps.
+func TestSelectKthConstantIsLinear(t *testing.T) {
+	a := make([]float64, 1<<20)
+	for i := range a {
+		a[i] = 0.25
+	}
+	if got := selectKth(a, len(a)/2); got != 0.25 {
+		t.Fatalf("selectKth of a constant slice = %v, want 0.25", got)
+	}
+}
+
+// jitterSourceSeeds are the seeding edge cases: zero (math/rand's
+// substitute seed), negatives, values at and past 2³¹−1 (reduced mod
+// 2³¹−1) and the int64 extremes.
+var jitterSourceSeeds = []int64{
+	0, 1, -1, 2, 7, -5, 42, 89482311, 123456789,
+	int32max - 1, int32max, int32max + 1, -int32max, 2 * int32max, 1 << 31, 1 << 32,
+	math.MaxInt32, math.MinInt32, math.MaxInt64, math.MinInt64, math.MinInt64 + 1,
+}
+
+// requireSourceMatchesMathRand draws n values from both sources and
+// fails on the first that differs in any bit.
+func requireSourceMatchesMathRand(t *testing.T, seed int64, n int) {
+	t.Helper()
+	want := rand.New(rand.NewSource(seed))
+	var got jitterSource
+	got.seed(seed)
+	for i := 0; i < n; i++ {
+		g, w := got.float64(), want.Float64()
+		if math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("seed %d, draw %d: %v (%#x), math/rand %v (%#x)", seed, i, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+	}
+}
+
+// TestJitterSourceMatchesMathRand pins the simulator's stack source to
+// math/rand's value stream: edge seeds plus random ones, 3,000 draws
+// each (more than the 607-word lag, so the recurrence wraps).
+func TestJitterSourceMatchesMathRand(t *testing.T) {
+	for _, seed := range jitterSourceSeeds {
+		requireSourceMatchesMathRand(t, seed, 3000)
+	}
+	r := rand.New(rand.NewSource(19))
+	for i := 0; i < 200; i++ {
+		requireSourceMatchesMathRand(t, r.Int63()-r.Int63(), 3000)
+	}
+}
+
+// FuzzJitterSourceMatchesMathRand diffs the stack source against
+// math/rand over arbitrary seeds.
+func FuzzJitterSourceMatchesMathRand(f *testing.F) {
+	for _, seed := range jitterSourceSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		requireSourceMatchesMathRand(t, seed, 3000)
+	})
+}
+
+// TestSimulateJitterMissionShapeAllocatesNothing pins the kernel at
+// zero allocations for mission.stochastic's shape: three stages, 400
+// samples.
+func TestSimulateJitterMissionShapeAllocatesNothing(t *testing.T) {
+	stages := missionShapeStages()
+	ctx := context.Background()
+	seed := int64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		seed++
+		if _, err := SimulateJitterContext(ctx, stages, 400, seed); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("SimulateJitterContext: %v allocs per run, want 0", allocs)
+	}
+}
+
+// missionShapeStages is mission.stochastic's pipeline: its three
+// jitters (5 %, 30 %, 2 %) over a sensor, compute and control stage.
+func missionShapeStages() []JitterStage {
+	return []JitterStage{
+		{Stage: StageHz("sensor", units.Hertz(60)), Jitter: 0.05},
+		{Stage: StageHz("compute", units.Hertz(178)), Jitter: 0.30},
+		{Stage: StageHz("control", units.Hertz(1000)), Jitter: 0.02},
 	}
 }
 
