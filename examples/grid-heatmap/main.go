@@ -29,7 +29,7 @@ func main() {
 	}
 
 	// The velocity field over payload (0–600 g) × compute rate
-	// (1–200 Hz): nx·ny analyses evaluated in parallel chunks.
+	// (1–200 Hz): nx·ny analyses evaluated on the engine's chunk loop.
 	grid, err := dse.GridSweep(cfg,
 		dse.KnobPayload, 0, 600, 48,
 		dse.KnobComputeRate, 1, 200, 24)

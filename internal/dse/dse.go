@@ -50,11 +50,12 @@
 //     shared cache, so reuse across requests happens a level up, where
 //     the Skyline server keeps one compiled space per axis selection
 //     and its persistent result store replays whole responses.
-//   - Sweep and GridSweep reuse the same factoring per point: a swept
-//     rate rebuilds one Stage, a swept range goes through
-//     ModelPartial.WithRange (reusing the a_max lookup), and only a
-//     swept payload — the a_max lookup's own input — falls back to the
-//     full analysis.
+//   - Sweep and GridSweep reuse the same factoring per point through one
+//     evaluator for every knob: a swept rate rebuilds one Stage, a swept
+//     range goes through ModelPartial.WithRange (reusing the a_max
+//     lookup), and a swept payload — the a_max lookup's own input —
+//     rebuilds the partial from the point's configuration. No knob
+//     falls back to the full analysis.
 //   - An optional mission-level Evaluator (objective.go, mission.go)
 //     scores each surviving candidate with the dormant simulation
 //     packages the F-1 model abstracts away — endurance, battery sag,
@@ -71,10 +72,13 @@
 //   - ParetoFront (pareto.go) runs the argmax set for one objective, a
 //     sort-based O(n log n) skyline for two, and a sort-filter
 //     block-nested-loop scan with early termination for three or more.
-//   - Sweep and GridSweep (sweep.go) evaluate knob sweeps over the
-//     same chunk runner with position-stable writes; they
-//     are the engine behind the Skyline server's /sweep.svg and
-//     /grid.svg and the experiment reproductions.
+//   - Sweep and GridSweep (sweep.go) evaluate knob sweeps on the same
+//     chunk loop as an exploration — the same runner, pool rule
+//     (workers 0 = PoolSize: inline), per-chunk fault site and panic
+//     recovery, and between-point cancellation checks — with
+//     position-stable writes; they are the engine behind the Skyline
+//     server's /sweep.svg and /grid.svg and the experiment
+//     reproductions.
 //
 // The package's cross-cutting invariants — caller-supplied context
 // flow, deterministic emission order, and the hot-path allocation
@@ -142,13 +146,23 @@ type Constraints struct {
 
 // Allows reports whether the candidate satisfies the constraints.
 func (c Constraints) Allows(cand Candidate) bool {
-	if c.MaxPayload > 0 && cand.Analysis.Config.Payload > c.MaxPayload {
+	return c.AllowsValues(cand.Analysis.Config.Payload.Grams(), cand.Power.Watts(), cand.Analysis.SafeVelocity.MetersPerSecond())
+}
+
+// AllowsValues is the one constraint predicate, over a candidate's
+// payload (grams), compute power (watts) and safe velocity (m/s) — the
+// units of the /explore wire format, so a filter over stored lines and
+// the engine decide every candidate alike. Payload compares in grams
+// on both sides: two masses one kilogram-ulp apart can read the same
+// gram value, and the gram value is what a client sees and constrains.
+func (c Constraints) AllowsValues(payloadG, powerW, vSafeMS float64) bool {
+	if c.MaxPayload > 0 && payloadG > c.MaxPayload.Grams() {
 		return false
 	}
-	if c.MaxPower > 0 && cand.Power > c.MaxPower {
+	if c.MaxPower > 0 && powerW > c.MaxPower.Watts() {
 		return false
 	}
-	if c.MinVelocity > 0 && cand.Analysis.SafeVelocity < c.MinVelocity {
+	if c.MinVelocity > 0 && vSafeMS < c.MinVelocity.MetersPerSecond() {
 		return false
 	}
 	return true

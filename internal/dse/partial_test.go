@@ -2,6 +2,7 @@ package dse
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -107,8 +108,9 @@ func sweepTestConfig(t *testing.T) core.Config {
 }
 
 // TestSweepPartialMatchesDirect: for every knob — including the
-// payload knob's full-analysis fallback — each sweep point must be
-// bit-identical to a direct Analyze of the knob-applied configuration.
+// payload knob's partial rebuild — each sweep point must be
+// bit-identical to a direct Analyze of the knob-applied configuration,
+// inline and on the pool.
 func TestSweepPartialMatchesDirect(t *testing.T) {
 	cfg := sweepTestConfig(t)
 	knobs := []struct {
@@ -123,26 +125,32 @@ func TestSweepPartialMatchesDirect(t *testing.T) {
 	}
 	for _, k := range knobs {
 		t.Run(k.knob.String(), func(t *testing.T) {
-			const n = 97 // above sweepSerialThreshold so the parallel path runs
-			res, err := SweepContext(context.Background(), cfg, k.knob, k.lo, k.hi, n, k.log, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, pt := range res.Points {
-				want, err := core.Analyze(k.knob.apply(cfg, pt.Value))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(pt.Analysis, want) {
-					t.Fatalf("point %d (%v=%v): sweep analysis diverges from direct", i, k.knob, pt.Value)
-				}
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					const n = 97
+					res, err := SweepContext(context.Background(), cfg, k.knob, k.lo, k.hi, n, k.log, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, pt := range res.Points {
+						want, err := core.Analyze(k.knob.apply(cfg, pt.Value))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(pt.Analysis, want) {
+							t.Fatalf("point %d (%v=%v): sweep analysis diverges from direct", i, k.knob, pt.Value)
+						}
+					}
+				})
 			}
 		})
 	}
 }
 
 // TestGridSweepPartialMatchesDirect covers the two-knob combinations:
-// rate×rate, rate×range (WithRange per cell) and the payload fallback.
+// rate×rate, rate×range (WithRange per cell) and payload on either
+// axis. A payload rebuild must keep the knob already applied to its
+// column (range, or a rate), so payload is paired with each kind.
 func TestGridSweepPartialMatchesDirect(t *testing.T) {
 	cfg := sweepTestConfig(t)
 	combos := []struct {
@@ -153,6 +161,9 @@ func TestGridSweepPartialMatchesDirect(t *testing.T) {
 		{KnobSensorRange, KnobSensorRate},
 		{KnobPayload, KnobComputeRate},
 		{KnobComputeRate, KnobPayload},
+		{KnobSensorRange, KnobPayload},
+		{KnobPayload, KnobSensorRange},
+		{KnobSensorRate, KnobPayload},
 	}
 	for _, c := range combos {
 		t.Run(c.x.String()+"/"+c.y.String(), func(t *testing.T) {

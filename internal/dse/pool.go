@@ -20,8 +20,8 @@ func chunkGrain(n, workers int) int {
 	return min(max(n/(workers*16), 8), 512)
 }
 
-// runChunks is the package's parallel engine, behind pool-sized
-// explorations and Sweep/GridSweep: workers claim chunks of [0,n) from
+// runChunks is the package's chunk runner, behind pool-sized
+// explorations and every Sweep/GridSweep: workers claim chunks of [0,n) from
 // one shared atomic counter, chunk k covering [k·grain, min((k+1)·grain,
 // n)), so a skewed space balances itself. A worker stops when the
 // counter passes n, ctx is done, or process returns false; chunks
@@ -30,42 +30,48 @@ func chunkGrain(n, workers int) int {
 // and never above it — callers write per-chunk slots and read them back
 // in chunk order, getting a serial scan's output and its first error.
 // When permits is non-nil a worker takes a token from it before each
-// claim, which lets a consumer bound how far the pool runs ahead.
+// claim, which lets a consumer bound how far the pool runs ahead. The
+// caller's goroutine is one of the workers, so a one-worker run claims
+// its chunks inline without starting a goroutine.
 func runChunks(ctx context.Context, n, workers, grain int, permits <-chan struct{}, process func(k int, s span) bool) (claimed int) {
 	chunks := (n + grain - 1) / grain
 	var next atomic.Int64
 	var stop atomic.Bool
 	done := ctx.Done()
+	work := func() {
+		for !stop.Load() {
+			if permits != nil {
+				select {
+				case <-permits:
+				case <-done:
+					return
+				}
+			} else {
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+			k := int(next.Add(1) - 1)
+			if k >= chunks {
+				return
+			}
+			if !process(k, span{start: k * grain, end: min((k+1)*grain, n)}) {
+				stop.Store(true)
+				return
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	for range workers {
+	for range workers - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !stop.Load() {
-				if permits != nil {
-					select {
-					case <-permits:
-					case <-done:
-						return
-					}
-				} else {
-					select {
-					case <-done:
-						return
-					default:
-					}
-				}
-				k := int(next.Add(1) - 1)
-				if k >= chunks {
-					return
-				}
-				if !process(k, span{start: k * grain, end: min((k+1)*grain, n)}) {
-					stop.Store(true)
-					return
-				}
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	return min(int(next.Load()), chunks)
 }

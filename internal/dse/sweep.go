@@ -14,9 +14,9 @@ import (
 // Sweep varies one knob of a configuration over a range and records how
 // the F-1 outputs respond — the programmatic equivalent of dragging a
 // Skyline slider, and the building block for custom characterization
-// studies. Large sweeps are evaluated in parallel chunks; the points
-// land in a preallocated slice at their own indices, so the result is
-// identical for every worker count.
+// studies. Sweeps run on the exploration engine's chunk loop, inline
+// or across a pool; the points land in a preallocated slice at their
+// own indices, so the result is identical for every worker count.
 
 // Knob identifies a sweepable configuration parameter.
 type Knob int
@@ -80,20 +80,15 @@ type SweepResult struct {
 	Points []SweepPoint
 }
 
-// sweepSerialThreshold is the point count below which goroutine setup
-// costs more than it saves.
-const sweepSerialThreshold = 64
-
 // sweepEval is a sweep's factored evaluation state: the base
 // configuration's model partial and the three pipeline stages,
 // precomputed once per sweep so each point recomputes only what the
 // swept knob actually invalidates. A rate knob replaces one stage; the
 // range knob re-derives the partial's knee/roof while reusing its
-// a_max lookup (a calibrated-table segment search on real catalogs).
-// The payload knob invalidates the a_max lookup itself, so payload
-// sweeps fall back to the full core.Analyze. Values are copied per
-// point (no shared mutation), so parallel sweep workers can share one
-// base.
+// a_max lookup (a calibrated-table segment search on real catalogs);
+// the payload knob is the a_max lookup's own input, so it rebuilds the
+// partial from the current configuration. Values are copied per point
+// (no shared mutation), so parallel sweep workers can share one base.
 type sweepEval struct {
 	base                     core.ModelPartial
 	name                     string
@@ -112,10 +107,12 @@ func newSweepEval(cfg core.Config) sweepEval {
 }
 
 // with returns a copy with knob k set to v, recomputing only the
-// invalidated part. KnobPayload is the caller's responsibility to
-// avoid (it cannot reuse the base partial).
+// invalidated part. Every knob already applied to e survives: the
+// payload rebuild starts from e's own assembled configuration.
 func (e sweepEval) with(k Knob, v float64) sweepEval {
 	switch k {
+	case KnobPayload:
+		e.base = core.PrecomputeModel(KnobPayload.apply(e.base.Config(e.name, e.sensor, e.compute, e.control), v))
 	case KnobSensorRange:
 		e.base = e.base.WithRange(units.Meters(v))
 	case KnobSensorRate:
@@ -144,7 +141,8 @@ func sampleAt(lo, hi float64, i, n int, logSpace bool) float64 {
 
 // Sweep evaluates the configuration with the knob set to n values
 // spaced linearly (or geometrically when logSpace) between lo and hi —
-// SweepContext without a cancellation context, on all available cores.
+// SweepContext without a cancellation context, on the default pool
+// (inline).
 //
 //reprolint:ctxshim documented no-context convenience wrapper; request paths use SweepContext
 func Sweep(cfg core.Config, knob Knob, lo, hi float64, n int, logSpace bool) (SweepResult, error) {
@@ -153,8 +151,10 @@ func Sweep(cfg core.Config, knob Knob, lo, hi float64, n int, logSpace bool) (Sw
 
 // SweepContext evaluates the configuration with the knob set to n
 // values spaced linearly (or geometrically when logSpace) between lo
-// and hi. Large sweeps run across workers cores (0 = GOMAXPROCS — a
-// server passes its per-request cap); the output is deterministic
+// and hi. workers sizes the chunk loop's pool as Explorer.Workers
+// does: 0 picks PoolSize(nil, GOMAXPROCS), which runs inline on the
+// caller's goroutine, and an explicit count — a server passes its
+// per-request cap — is honored as given; the output is deterministic
 // regardless. Cancelling ctx — a disconnected /sweep.svg client —
 // stops the evaluation between points and returns ctx's error.
 func SweepContext(ctx context.Context, cfg core.Config, knob Knob, lo, hi float64, n int, logSpace bool, workers int) (SweepResult, error) {
@@ -171,34 +171,16 @@ func SweepContext(ctx context.Context, cfg core.Config, knob Knob, lo, hi float6
 		return SweepResult{}, fmt.Errorf("dse: unknown knob %v", knob)
 	}
 	points := make([]SweepPoint, n)
-	var eval func(i int) error
-	if knob == KnobPayload {
-		// A payload sweep invalidates the a_max lookup itself — nothing
-		// model-side survives between points; run the full analysis.
-		eval = func(i int) error {
-			v := sampleAt(lo, hi, i, n, logSpace)
-			an, err := core.Analyze(knob.apply(cfg, v))
-			if err != nil {
-				return fmt.Errorf("dse: sweep %v at %v: %w", knob, v, err)
-			}
-			points[i] = SweepPoint{Value: v, Analysis: an}
-			return nil
+	pe := newSweepEval(cfg)
+	eval := func(i int) error {
+		v := sampleAt(lo, hi, i, n, logSpace)
+		e := pe.with(knob, v)
+		an, err := e.analyze()
+		if err != nil {
+			return fmt.Errorf("dse: sweep %v at %v: %w", knob, v, err)
 		}
-	} else {
-		// Rate and range knobs leave the a_max lookup valid: factor the
-		// configuration once and recompute only the swept part per
-		// point (bit-identical to the full analysis).
-		pe := newSweepEval(cfg)
-		eval = func(i int) error {
-			v := sampleAt(lo, hi, i, n, logSpace)
-			e := pe.with(knob, v)
-			an, err := e.analyze()
-			if err != nil {
-				return fmt.Errorf("dse: sweep %v at %v: %w", knob, v, err)
-			}
-			points[i] = SweepPoint{Value: v, Analysis: an}
-			return nil
-		}
+		points[i] = SweepPoint{Value: v, Analysis: an}
+		return nil
 	}
 	if err := forEachParallel(ctx, n, workers, eval); err != nil {
 		return SweepResult{}, err
@@ -206,80 +188,80 @@ func SweepContext(ctx context.Context, cfg core.Config, knob Knob, lo, hi float6
 	return SweepResult{Knob: knob, Points: points}, nil
 }
 
-// forEachParallel runs eval(0..n-1), serially for small n and across
-// the package's chunk runner otherwise (workers <= 0 picks GOMAXPROCS).
-// Workers write only their own indices, so results are position-stable
-// and identical for every worker count; skewed workloads — some indices
-// far slower than others — balance through small claims from the
-// shared chunk counter instead of stalling a fixed per-worker share.
-// The first error stops further claims (the result is discarded
-// wholesale anyway), and cancelling ctx stops every worker between
-// evaluations. Claims are ascending and every claimed chunk runs to its
-// own first failure, so the returned error is the lowest-indexed
-// failure — the one a serial loop hits — or ctx's error when nothing
-// failed. A panicking evaluation — corrupt model data, an armed fault —
-// is recovered into that position's error instead of unwinding a pool
-// goroutine and killing the process.
+// forEachParallel runs eval(0..n-1) on the package's chunk runner
+// (workers <= 0 picks PoolSize(nil, GOMAXPROCS): inline). Claims come
+// from a tapered span table — whole grains while at least 2·workers of
+// them remain, then spans shrinking toward single points — so a skewed
+// sweep, some indices far slower than others, does not end on its
+// costliest grain alone. Evaluations write only their own indices, so
+// results are position-stable and identical for every worker count.
+//
+// Each claimed span is one chunk of the engine's chunk loop: the
+// SiteDSEChunk fault site fires at its head, a panicking evaluation —
+// corrupt model data, an armed fault — is recovered into the span's
+// error instead of unwinding a pool goroutine and killing the process,
+// and ctx is checked between points. The first error stops further
+// claims (the result is discarded wholesale anyway). Claims are
+// ascending and every claimed span runs to its own first failure, so
+// the returned error is the lowest-indexed failure — the one a serial
+// loop hits — or ctx's error when nothing failed.
 func forEachParallel(ctx context.Context, n, workers int, eval func(i int) error) error {
-	done := ctx.Done()
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = PoolSize(nil, runtime.GOMAXPROCS(0))
 	}
-	safeEval := func(i int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("dse: panic evaluating point %d: %v", i, r)
-			}
-		}()
-		if err := faultinject.Fire(faultinject.SiteDSEChunk); err != nil {
-			return fmt.Errorf("dse: point %d: %w", i, err)
-		}
-		return eval(i)
+	grain := chunkGrain(n, workers)
+	end := func(start int) int { return start + min(max((n-start)/(2*workers), 1), grain) }
+	count := 0
+	for start := 0; start < n; start = end(start) {
+		count++
 	}
-	if n < sweepSerialThreshold || workers == 1 {
-		for i := 0; i < n; i++ {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-			if err := safeEval(i); err != nil {
-				return err
-			}
-		}
-		return nil
+	slots := make([]spanSlot, 0, count)
+	for start := 0; start < n; start = end(start) {
+		slots = append(slots, spanSlot{span: span{start: start, end: end(start)}})
 	}
-	// Whole grains while at least 2·workers of them remain, then chunks
-	// shrinking toward single points: claims are ascending, so without
-	// the taper a skewed sweep's last, costliest grain would run alone.
-	var spans []span
-	for start, grain := 0, chunkGrain(n, workers); start < n; {
-		end := start + min(max((n-start)/(2*workers), 1), grain)
-		spans = append(spans, span{start: start, end: end})
-		start = end
-	}
-	errs := make([]error, len(spans))
-	runChunks(ctx, len(spans), workers, 1, nil, func(k int, _ span) bool {
-		for i := spans[k].start; i < spans[k].end; i++ {
-			select {
-			case <-done:
-				return false
-			default:
-			}
-			if err := safeEval(i); err != nil {
-				errs[k] = err
-				return false
-			}
-		}
-		return true
+	runChunks(ctx, len(slots), workers, 1, nil, func(k int, _ span) bool {
+		slots[k].err = evalSpan(ctx, slots[k].span, eval)
+		return slots[k].err == nil
 	})
 	// runChunks has joined every worker, so the error slots are settled.
-	for _, err := range errs {
-		if err != nil {
-			return err
+	for _, sl := range slots {
+		if sl.err != nil {
+			return sl.err
 		}
 	}
 	return ctx.Err()
+}
+
+// spanSlot is one claimable span of a sweep and its first error.
+type spanSlot struct {
+	span
+	err error
+}
+
+// evalSpan runs eval over one claimed span: the sweep side of the
+// chunk loop, with processChunk's fault site, panic recovery and
+// between-point cancellation check.
+func evalSpan(ctx context.Context, s span, eval func(i int) error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("dse: panic evaluating points [%d,%d): %v", s.start, s.end, r)
+		}
+	}()
+	if err := faultinject.Fire(faultinject.SiteDSEChunk); err != nil {
+		return fmt.Errorf("dse: points [%d,%d): %w", s.start, s.end, err)
+	}
+	done := ctx.Done()
+	for i := s.start; i < s.end; i++ {
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
+		}
+		if err := eval(i); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Velocities extracts the (knob value, safe velocity) series for
@@ -330,8 +312,8 @@ func (g GridResult) VelocityGrid() [][]float64 {
 }
 
 // GridSweep evaluates the configuration over the (xKnob × yKnob) grid
-// — GridSweepContext without a cancellation context, on all available
-// cores.
+// — GridSweepContext without a cancellation context, on the default
+// pool (inline).
 //
 //reprolint:ctxshim documented no-context convenience wrapper; request paths use GridSweepContext
 func GridSweep(cfg core.Config, xKnob Knob, xLo, xHi float64, nx int, yKnob Knob, yLo, yHi float64, ny int) (GridResult, error) {
@@ -341,9 +323,10 @@ func GridSweep(cfg core.Config, xKnob Knob, xLo, xHi float64, nx int, yKnob Knob
 // GridSweepContext evaluates the configuration over the (xKnob ×
 // yKnob) grid: nx samples of xKnob between xLo and xHi crossed with ny
 // samples of yKnob between yLo and yHi, linearly spaced. The nx·ny
-// analyses run in parallel chunks across workers cores (0 = GOMAXPROCS
-// — a server passes its per-request cap) with deterministic placement
-// — the characterization heatmap behind two-axis design studies.
+// analyses run on the chunk loop with deterministic placement — the
+// characterization heatmap behind two-axis design studies. workers
+// sizes its pool as in SweepContext: 0 runs inline, an explicit count
+// (a server's per-request cap) is honored as given.
 // Cancelling ctx — a disconnected /grid.svg client — stops the workers
 // between cells instead of finishing the grid.
 func GridSweepContext(ctx context.Context, cfg core.Config, xKnob Knob, xLo, xHi float64, nx int, yKnob Knob, yLo, yHi float64, ny int, workers int) (GridResult, error) {
@@ -376,40 +359,23 @@ func GridSweepContext(ctx context.Context, cfg core.Config, xKnob Knob, xLo, xHi
 	for yi := range res.Cells {
 		res.Cells[yi] = cells[yi*nx : (yi+1)*nx]
 	}
-	var eval func(i int) error
-	if xKnob == KnobPayload || yKnob == KnobPayload {
-		// A payload axis invalidates the a_max lookup per cell; run the
-		// full analysis.
-		eval = func(i int) error {
-			xi, yi := i%nx, i/nx
-			c := yKnob.apply(xKnob.apply(cfg, res.Xs[xi]), res.Ys[yi])
-			an, err := core.Analyze(c)
-			if err != nil {
-				return fmt.Errorf("dse: grid sweep at (%v=%v, %v=%v): %w", xKnob, res.Xs[xi], yKnob, res.Ys[yi], err)
-			}
-			cells[i] = an
-			return nil
+	// Factor once, apply the x knob once per distinct column value (not
+	// once per cell), and recompute per cell only the y-knob part — the
+	// same x-then-y application order as the direct path.
+	pe := newSweepEval(cfg)
+	xEvals := make([]sweepEval, nx)
+	for xi := range xEvals {
+		xEvals[xi] = pe.with(xKnob, res.Xs[xi])
+	}
+	eval := func(i int) error {
+		xi, yi := i%nx, i/nx
+		e := xEvals[xi].with(yKnob, res.Ys[yi])
+		an, err := e.analyze()
+		if err != nil {
+			return fmt.Errorf("dse: grid sweep at (%v=%v, %v=%v): %w", xKnob, res.Xs[xi], yKnob, res.Ys[yi], err)
 		}
-	} else {
-		// Both axes are rate/range knobs: factor once, apply the x knob
-		// once per distinct column value (not once per cell), and
-		// recompute per cell only the y-knob part — same x-then-y
-		// application order as the direct path.
-		pe := newSweepEval(cfg)
-		xEvals := make([]sweepEval, nx)
-		for xi := range xEvals {
-			xEvals[xi] = pe.with(xKnob, res.Xs[xi])
-		}
-		eval = func(i int) error {
-			xi, yi := i%nx, i/nx
-			e := xEvals[xi].with(yKnob, res.Ys[yi])
-			an, err := e.analyze()
-			if err != nil {
-				return fmt.Errorf("dse: grid sweep at (%v=%v, %v=%v): %w", xKnob, res.Xs[xi], yKnob, res.Ys[yi], err)
-			}
-			cells[i] = an
-			return nil
-		}
+		cells[i] = an
+		return nil
 	}
 	if err := forEachParallel(ctx, nx*ny, workers, eval); err != nil {
 		return GridResult{}, err

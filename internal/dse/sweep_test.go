@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
+	"repro/internal/faultinject"
 )
 
 func pelicanDroNetConfig(t *testing.T) core.Config {
@@ -245,13 +246,13 @@ func TestSweepContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	// Both the serial (< threshold) and chunked paths observe the dead
-	// context before evaluating.
+	// The chunk loop observes the dead context before evaluating,
+	// inline and on the pool.
 	if _, err := SweepContext(ctx, cfg, KnobPayload, 0, 500, 10, false, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("serial sweep: err = %v, want context.Canceled", err)
+		t.Errorf("inline sweep: err = %v, want context.Canceled", err)
 	}
-	if _, err := SweepContext(ctx, cfg, KnobPayload, 0, 500, 500, false, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("chunked sweep: err = %v, want context.Canceled", err)
+	if _, err := SweepContext(ctx, cfg, KnobPayload, 0, 500, 500, false, 4); !errors.Is(err, context.Canceled) {
+		t.Errorf("pooled sweep: err = %v, want context.Canceled", err)
 	}
 	if _, err := GridSweepContext(ctx, cfg, KnobPayload, 0, 500, 20, KnobComputeRate, 1, 100, 20, 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("grid sweep: err = %v, want context.Canceled", err)
@@ -284,5 +285,39 @@ func TestSweepContextMatchesSweep(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plain, scoped) {
 		t.Error("SweepContext diverges from Sweep")
+	}
+}
+
+// TestSweepChunkFaults arms the chunk loop's fault site on sweeps and
+// grids: an injected error and an injected panic — on every span, or
+// only on the first two fired — must each surface as an error with no
+// partial result, never a crash, inline and on the pool.
+func TestSweepChunkFaults(t *testing.T) {
+	cfg := pelicanDroNetConfig(t)
+	faults := map[string]faultinject.Fault{
+		"error":         {Err: errors.New("injected chunk fault")},
+		"panic":         {Panic: true},
+		"error/times=2": {Err: errors.New("injected chunk fault"), Times: 2},
+		"panic/times=2": {Panic: true, Times: 2},
+	}
+	for name, f := range faults {
+		for _, workers := range []int{1, 2, 4} {
+			disarm := faultinject.Enable(faultinject.SiteDSEChunk, f)
+			res, err := SweepContext(context.Background(), cfg, KnobComputeRate, 1, 200, 300, true, workers)
+			if err == nil || res.Points != nil {
+				t.Errorf("%s, workers=%d: sweep = (%d points, %v), want an error and no points", name, workers, len(res.Points), err)
+			}
+			disarm()
+			disarm = faultinject.Enable(faultinject.SiteDSEChunk, f)
+			grid, err := GridSweepContext(context.Background(), cfg, KnobPayload, 0, 500, 20, KnobComputeRate, 1, 100, 15, workers)
+			if err == nil || grid.Cells != nil {
+				t.Errorf("%s, workers=%d: grid sweep = (%d rows, %v), want an error and no cells", name, workers, len(grid.Cells), err)
+			}
+			disarm()
+		}
+	}
+	// Disarmed, the same runs succeed.
+	if _, err := SweepContext(context.Background(), cfg, KnobComputeRate, 1, 200, 300, true, 4); err != nil {
+		t.Fatalf("disarmed sweep: %v", err)
 	}
 }

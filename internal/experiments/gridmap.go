@@ -76,7 +76,7 @@ func runExtGrid(ctx context.Context, c *catalog.Catalog) (Result, error) {
 		t.AddRow(fmtF(grid.Ys[yi], 1), fmtF(lo, 2), fmtF(hi, 2), dominant)
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf(
-		"%d×%d grid (%d analyses) evaluated by the parallel GridSweep engine", nx, ny, nx*ny))
+		"%d×%d grid (%d analyses) evaluated by the GridSweep engine", nx, ny, nx*ny))
 	res.Tables = append(res.Tables, t)
 	return res, nil
 }

@@ -36,9 +36,10 @@ const (
 	// recovery path.
 	SiteCacheFill = "core.cache.fill"
 	// SiteDSEChunk fires at the head of every chunk of the exploration
-	// engine's chunk loop, on pool workers and inline one-worker runs
-	// alike — the seam for slowing, failing or killing an exploration
-	// mid-space.
+	// engine's chunk loop — every claimed grain of an exploration and
+	// every claimed span of a Sweep or GridSweep — on pool workers and
+	// inline one-worker runs alike: the seam for slowing, failing or
+	// killing an engine run mid-space.
 	SiteDSEChunk = "dse.chunk"
 	// SiteDSEPlan fires once per engine run, at the head of the
 	// exploration planner and of GridSweepContext: an armed error fails

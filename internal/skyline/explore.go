@@ -466,7 +466,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	// ranking — same work per candidate, a bounded response. (Sampled
 	// before admission: by the time this request gets its slot the
 	// queue it waited in has, by definition, drained below the mark.)
-	degrade := req.TopK == 0 && len(req.Pareto) == 0 && s.degradeTopK > 0 && s.adm.saturated()
+	degrade := req.TopK == 0 && len(req.Pareto) == 0 && s.adm.saturated()
 
 	// Persistent-store fast path, checked before admission: a warm
 	// repeat is disk I/O, not engine work, so it neither waits for nor
@@ -504,7 +504,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	if degrade {
-		req.TopK = s.degradeTopK
+		req.TopK = defaultDegradeTopK
 		s.adm.degradedTotal.Add(1)
 		w.Header().Set("X-Explore-Degraded", fmt.Sprintf("top=%d", req.TopK))
 	}

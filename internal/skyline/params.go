@@ -113,10 +113,9 @@
 // bucket is dry.
 //
 // While the queue sits past its high-water mark, an unbounded /explore
-// is downgraded to a capped top-K response (Options.DegradeTopK,
-// default 50) flagged via the X-Explore-Degraded header: under
-// overload every client gets a useful ranking instead of one client
-// getting the whole space.
+// is downgraded to a capped top-K response (top=50) flagged via the
+// X-Explore-Degraded header: under overload every client gets a useful
+// ranking instead of one client getting the whole space.
 //
 // Every handler runs behind panic-recovery middleware: a panic becomes
 // a clean 500 (when the response has not started) and a counter

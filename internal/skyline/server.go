@@ -41,9 +41,6 @@ type Server struct {
 	// defaultTimeout bounds engine-driven requests without a timeout=
 	// knob, and caps the knob. 0 = no deadline.
 	defaultTimeout time.Duration
-	// degradeTopK caps unbounded /explore responses under saturation;
-	// 0 disables degradation.
-	degradeTopK int
 	// store is the persistent result tier (nil = off): completed
 	// /explore and /grid.svg responses spill as content-addressed
 	// artifacts and repeat requests are served from disk — across
@@ -94,10 +91,6 @@ type Options struct {
 	// ClientBurst is the quota bucket size (max burst above the steady
 	// rate). 0 selects max(1, 2×ClientRPS).
 	ClientBurst float64
-	// DegradeTopK caps unbounded /explore responses while the queue is
-	// past its high-water mark, flagged via X-Explore-Degraded.
-	// 0 selects the default (50); negative disables degradation.
-	DegradeTopK int
 	// MaxWorkersPerRequest clamps the workers= query knob (and the
 	// default pool size) so one client cannot monopolize the cores.
 	// 0 or anything above GOMAXPROCS means GOMAXPROCS.
@@ -134,12 +127,6 @@ func NewServerWith(cat *catalog.Catalog, opt Options) *Server {
 	if queueCap == 0 {
 		queueCap = 4 * opt.MaxInflight
 	}
-	degrade := opt.DegradeTopK
-	if degrade == 0 {
-		degrade = defaultDegradeTopK
-	} else if degrade < 0 {
-		degrade = 0
-	}
 	s := &Server{
 		cat:            cat,
 		mux:            http.NewServeMux(),
@@ -148,7 +135,6 @@ func NewServerWith(cat *catalog.Catalog, opt Options) *Server {
 		metrics:        newServerMetrics(),
 		maxWorkers:     maxWorkers,
 		defaultTimeout: opt.DefaultTimeout,
-		degradeTopK:    degrade,
 		store:          opt.Store,
 	}
 	if s.store != nil {

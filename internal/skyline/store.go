@@ -186,24 +186,6 @@ type storedLine struct {
 	PayloadG JSONFloat `json:"payload_g"`
 }
 
-// allowsStored mirrors dse.Constraints.Allows over a decoded line.
-// Power and velocity compare in their storage units (identity
-// conversions — exact). Payload compares in grams against the
-// constraint's gram value; see docs/PERSISTENCE.md for the one-ulp
-// boundary caveat of the grams↔kilograms round trip.
-func allowsStored(cons dse.Constraints, l storedLine) bool {
-	if cons.MaxPayload > 0 && float64(l.PayloadG) > cons.MaxPayload.Grams() {
-		return false
-	}
-	if cons.MaxPower > 0 && float64(l.PowerW) > float64(cons.MaxPower) {
-		return false
-	}
-	if cons.MinVelocity > 0 && float64(l.VSafeMS) < float64(cons.MinVelocity) {
-		return false
-	}
-	return true
-}
-
 // filterStored answers a constrained streaming exploration from its
 // stored unconstrained superset: every stored line that passes the
 // constraints is re-emitted with its original bytes, which keeps the
@@ -225,7 +207,7 @@ func filterStored(body []byte, cons dse.Constraints) (out []byte, ok bool) {
 		if err := json.Unmarshal(line, &l); err != nil {
 			return nil, false
 		}
-		if allowsStored(cons, l) {
+		if cons.AllowsValues(float64(l.PayloadG), float64(l.PowerW), float64(l.VSafeMS)) {
 			buf.Write(line)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -428,6 +429,33 @@ func TestStoreKeyDiscriminates(t *testing.T) {
 	}
 	if supersetKey(rev, cons) != keys["base"] {
 		t.Error("supersetKey of a constrained request != unconstrained key")
+	}
+}
+
+// TestFilterStoredMatchesEngineAtPayloadBoundary: a candidate one
+// kilogram-ulp above a max_payload_g constraint reads the constraint's
+// own gram value on the wire, and the stored filter and the engine
+// must decide it alike — both keep it.
+func TestFilterStoredMatchesEngineAtPayloadBoundary(t *testing.T) {
+	req, err := ParseExplore(catalog.Default(), url.Values{"max_payload_g": {"141"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cand dse.Candidate
+	cand.Analysis.Config.Payload = units.Mass(math.Nextafter(0.141, 1))
+	if g := cand.Analysis.Config.Payload.Grams(); g != 141 {
+		t.Fatalf("fixture payload reads %v g, want 141", g)
+	}
+	line := []byte(`{"name":"a","v_safe_ms":2.5,"power_w":10,"payload_g":141}` + "\n")
+	got, ok := filterStored(line, req.Constraints)
+	if !ok {
+		t.Fatal("filterStored rejected a well-formed line")
+	}
+	if !bytes.Equal(got, line) {
+		t.Fatalf("filterStored dropped the boundary line: %q", got)
+	}
+	if !req.Constraints.Allows(cand) {
+		t.Fatal("engine rejects a candidate whose line the stored filter keeps")
 	}
 }
 
