@@ -20,7 +20,6 @@ import (
 	"runtime"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
@@ -41,7 +40,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	out := fs.String("out", "", "directory to write .txt tables and .svg figures")
 	ascii := fs.Bool("ascii", false, "also render charts as ASCII on stdout")
 	workers := fs.Int("workers", 0, "cap the cores used by the exploration/sweep engines (0 = all)")
-	cacheStats := fs.Bool("cache-stats", false, "print the process-wide analysis cache statistics after the run")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -117,14 +115,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 				}
 			}
 		}
-	}
-	if *cacheStats {
-		// No experiment analyzes through core.SharedCache since the
-		// exploration engine stopped memoizing per candidate, so these
-		// gauges read zero; the flag stays for scripts that pass it.
-		st := core.SharedCache().Stats()
-		fmt.Fprintf(stdout, "cache: %d/%d entries across %d shards, %d hits / %d misses (%.1f%% hit rate, %d coalesced), %d evictions\n",
-			st.Entries, st.Capacity, st.Shards, st.Hits, st.Misses, 100*st.HitRate(), st.Coalesced, st.Evictions)
 	}
 	return nil
 }

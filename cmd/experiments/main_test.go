@@ -59,26 +59,6 @@ func TestRunASCIICharts(t *testing.T) {
 	}
 }
 
-func TestRunCacheStats(t *testing.T) {
-	var buf strings.Builder
-	// table3 explores via a default dse.Explorer, which shares the
-	// process-wide cache the flag reports on.
-	if err := run(context.Background(), []string{"-id", "table3", "-cache-stats"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "cache: ") || !strings.Contains(buf.String(), "hit rate") {
-		t.Errorf("cache stats line missing:\n%s", buf.String())
-	}
-	// Without the flag the line stays out of the report.
-	buf.Reset()
-	if err := run(context.Background(), []string{"-id", "table3"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "cache: ") {
-		t.Error("cache stats printed without -cache-stats")
-	}
-}
-
 func TestRunBadFlag(t *testing.T) {
 	var buf strings.Builder
 	if err := run(context.Background(), []string{"-nope"}, &buf); err == nil {

@@ -3,13 +3,13 @@
 // saturation smoke harness: point it at a live server with -url, or
 // let it spin up an in-process server (the default) shaped by the
 // same knobs cmd/skyline exposes, optionally with faults armed in the
-// analysis cache or the exploration engine.
+// exploration engine.
 //
 // Usage:
 //
 //	loadgen [-url http://host:8080] [-duration 5s] [-clients 8]
 //	        [-scenario hot,cold,disconnect,burst]
-//	        [-fault core.cache.fill=error | dse.chunk=panic | site=latency:50ms]
+//	        [-fault dse.chunk=error | dse.chunk=panic | site=latency:50ms]
 //	        [-max-inflight 2] [-queue-depth 4] [-client-rps 0]
 //	        [-default-timeout 0] [-seed 1]
 //	        [-max-shed-rate 1] [-max-p99-wait 0] [-json]
@@ -17,8 +17,9 @@
 //
 // Scenarios (comma-separated; default all):
 //
-//	hot         repeat a small set of analysis requests — cache hits
-//	cold        distinct explorations — cache misses, real engine work
+//	hot         repeat a small set of /api/analyze requests — one
+//	            F-1 analysis each, no engine work
+//	cold        distinct explorations — store misses, real engine work
 //	disconnect  open streaming explorations and drop them mid-stream
 //	burst       hammer one API key far past any quota
 //	restart     warm-start smoke: run a deterministic request list
@@ -65,7 +66,6 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/skyline"
 	"repro/internal/store"
@@ -294,7 +294,6 @@ func run(args []string, out io.Writer) (*report, error) {
 		base := cfg.url
 		if base == "" {
 			srv := httptest.NewServer(skyline.NewServerWith(catalog.Synthetic(8, 16, 16), skyline.Options{
-				Cache:          core.NewCache(),
 				MaxInflight:    cfg.maxInflight,
 				QueueDepth:     cfg.queueDepth,
 				ClientRPS:      cfg.clientRPS,
@@ -352,7 +351,7 @@ func drive(cfg config, base string) *report {
 				attempts.Add(1)
 				switch cfg.scenarios[i%len(cfg.scenarios)] {
 				case "hot":
-					// A small hot catalog: repeats hit the analysis cache.
+					// A small hot set of page analyses.
 					n := rng.Intn(4)
 					u := fmt.Sprintf("%s/api/analyze?uav=synth-uav-%03d&compute=synth-soc-%03d&algorithm=synth-net-%03d", base, n, n, n)
 					doGet(ctx, client, u, "", record, &errs)
@@ -458,15 +457,14 @@ func driveRestart(cfg config) (*report, error) {
 		defer os.RemoveAll(tmp)
 		dir = tmp
 	}
-	// Each generation gets fresh in-process state — a new analysis
-	// cache and a newly opened store — exactly like a process restart.
+	// Each generation gets fresh in-process state — a new server and a
+	// newly opened store — exactly like a process restart.
 	newServer := func() (*httptest.Server, error) {
 		st, err := store.Open(dir, 0)
 		if err != nil {
 			return nil, err
 		}
 		return httptest.NewServer(skyline.NewServerWith(catalog.Synthetic(8, 16, 16), skyline.Options{
-			Cache:          core.NewCache(),
 			Store:          st,
 			MaxInflight:    cfg.maxInflight,
 			QueueDepth:     cfg.queueDepth,

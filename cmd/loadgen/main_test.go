@@ -104,16 +104,16 @@ func TestRunSmoke(t *testing.T) {
 }
 
 // TestRunFaultArmsAndDisarms checks -fault wires through: an error
-// fault at the cache-fill site must turn analysis traffic into
-// non-200s without breaking the harness, and the disarm must not leak
-// into later runs.
+// fault at the engine's chunk site must turn the cold scenario's top-3
+// explorations into 400s without breaking the harness, and the disarm
+// must not leak into later runs.
 func TestRunFaultArmsAndDisarms(t *testing.T) {
 	defer faultinject.Reset()
 	rep, err := run([]string{
 		"-duration", "200ms",
 		"-clients", "2",
-		"-scenario", "hot",
-		"-fault", "core.cache.fill=error",
+		"-scenario", "cold",
+		"-fault", "dse.chunk=error",
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -122,14 +122,14 @@ func TestRunFaultArmsAndDisarms(t *testing.T) {
 		t.Fatalf("transport errors: %d", rep.Errors)
 	}
 	if n := rep.ByStatus["200"]; n != 0 {
-		t.Errorf("fault-injected hot traffic got %d OKs, want 0", n)
+		t.Errorf("fault-injected cold traffic got %d OKs, want 0", n)
 	}
 	if rep.ByStatus["400"] == 0 {
-		t.Errorf("fault-injected hot traffic produced no 400s: %v", rep.ByStatus)
+		t.Errorf("fault-injected cold traffic produced no 400s: %v", rep.ByStatus)
 	}
 
 	// The run's deferred disarm must have fired.
-	if err := faultinject.Fire(faultinject.SiteCacheFill); err != nil {
+	if err := faultinject.Fire(faultinject.SiteDSEChunk); err != nil {
 		t.Fatalf("fault still armed after run: %v", err)
 	}
 

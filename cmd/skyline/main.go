@@ -7,12 +7,10 @@
 // Usage:
 //
 //	skyline [-addr :8080] [-catalog file.json]
-//	        [-cache-entries 65536] [-max-inflight 4×GOMAXPROCS]
-//	        [-queue-depth 4×max-inflight] [-default-timeout 0]
-//	        [-client-rps 0] [-max-workers-per-request GOMAXPROCS]
+//	        [-max-inflight 4×GOMAXPROCS] [-queue-depth 4×max-inflight]
+//	        [-default-timeout 0] [-client-rps 0]
+//	        [-max-workers-per-request GOMAXPROCS]
 //	        [-store-dir dir] [-store-limit-bytes 1GiB]
-//
-// -cache-entries bounds the process-wide analysis cache.
 //
 // -store-dir enables the crash-safe persistent result store (off when
 // unset): completed /explore and /grid.svg responses are spilled as
@@ -42,7 +40,7 @@
 // unbounded /explore is downgraded to a capped top-K response, flagged
 // via the X-Explore-Degraded header.
 //
-// /healthz reports the cache, admission and store gauges as JSON;
+// /healthz reports the admission and store gauges as JSON;
 // /metrics exports them in the Prometheus text format (queue
 // depth/wait, per-endpoint latency quantiles, shed/panic counters,
 // store artifact/hit/quarantine/degraded series).
@@ -57,7 +55,6 @@ import (
 	"runtime"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/skyline"
 	"repro/internal/store"
 )
@@ -71,14 +68,12 @@ func main() {
 	log.Fatal(http.ListenAndServe(addr, srv))
 }
 
-// setup parses the flags, sizes the process-wide cache and builds the
-// configured server — everything main does short of listening.
+// setup parses the flags and builds the configured server — everything
+// main does short of listening.
 func setup(args []string) (*skyline.Server, string, error) {
 	fs := flag.NewFlagSet("skyline", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	catalogPath := fs.String("catalog", "", "optional catalog JSON (default: built-in paper catalog)")
-	cacheEntries := fs.Int("cache-entries", core.DefaultCacheLimit,
-		"bound on the process-wide analysis cache (entries)")
 	maxInflight := fs.Int("max-inflight", 4*runtime.GOMAXPROCS(0),
 		"concurrent exploration requests before new ones queue (0 = unlimited)")
 	queueDepth := fs.Int("queue-depth", 0,
@@ -108,9 +103,6 @@ func setup(args []string) (*skyline.Server, string, error) {
 		if err != nil {
 			return nil, "", fmt.Errorf("loading catalog: %w", err)
 		}
-	}
-	if *cacheEntries != core.DefaultCacheLimit {
-		core.SetSharedCacheLimit(*cacheEntries)
 	}
 	opt := skyline.Options{
 		MaxInflight:          *maxInflight,

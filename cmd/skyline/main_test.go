@@ -51,17 +51,12 @@ func TestSetupDefaultLimits(t *testing.T) {
 func TestSetupFlagLimits(t *testing.T) {
 	h := healthz(t, []string{
 		"-max-inflight", "3", "-max-workers-per-request", "1",
-		"-cache-entries", "512",
 	})
 	if h.MaxInflight != 3 {
 		t.Errorf("max_inflight = %d, want 3", h.MaxInflight)
 	}
 	if h.MaxWorkersPerRequest != 1 {
 		t.Errorf("max_workers_per_request = %d, want 1", h.MaxWorkersPerRequest)
-	}
-	// -cache-entries resized the process-wide cache the server shares.
-	if h.Cache.Capacity != 512 {
-		t.Errorf("cache capacity = %d, want 512", h.Cache.Capacity)
 	}
 }
 

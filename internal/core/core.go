@@ -24,10 +24,11 @@
 // per payload triple and stages per rate, so its per-candidate cost is
 // the combine alone.
 //
-// Cache (memo.go) memoizes analyses process-wide with sharding,
-// segmented-LRU eviction and context-aware singleflight miss
-// coalescing, for callers that analyze the same configuration
-// repeatedly (the Skyline page endpoints).
+// Cache (memo.go) memoizes analyses with sharding, segmented-LRU
+// eviction and context-aware singleflight miss coalescing. No
+// production path uses it any more — a direct Analyze is no slower
+// than a warm probe — and it remains only while perfbench compiles
+// against it.
 //
 // The combine's allocation discipline (//reprolint:hotpath on
 // AnalyzeWithPartial[Into]) and the package's context-flow contract

@@ -7,18 +7,21 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/faultinject"
 )
 
 // Cache memoizes Analyze results keyed on a ScoreKey — the full Config
 // value plus an objective and seed, zero for every entry the cache
-// fills — so repeated analyses of the same resolved configuration (a
-// Skyline server replaying popular /api/analyze and /plot.svg
-// requests) pay the model cost once. The exploration engine does not
-// use it: recomputing a candidate from precomputed partials is cheaper
-// than a probe.
+// fills — so repeated analyses of the same resolved configuration pay
+// the model cost once.
+//
+// No production path uses it: a direct Analyze is no slower than a
+// warm probe, so the exploration engine recomputes from precomputed
+// partials and the Skyline server calls Analyze. The type and its
+// entry points (NewCache, CacheOff, ScoreKey, Lookup, LookupScored,
+// AnalyzeContext) remain only because perfbench still compiles
+// against them; they go once perfbench no longer does.
 //
 // The cache is sharded: the Config hashes to one of a power-of-two
 // number of independently locked segments, so concurrent exploration
@@ -228,38 +231,10 @@ func NewCacheLimit(limit int) *Cache {
 // CacheOff returns the canonical pass-through cache: Analyze always
 // recomputes and nothing is retained. Use it where a *Cache is
 // expected but memoization must be off (e.g. a benchmark isolating the
-// computation, or a dse.Explorer that must not touch SharedCache).
+// computation).
 func CacheOff() *Cache { return &cacheOff }
 
 var cacheOff Cache
-
-// sharedCache is the process-wide cache, created on first use.
-var sharedCache atomic.Pointer[Cache]
-
-// SharedCache returns the process-wide analysis cache shared by every
-// component that does not bring its own — the Skyline server, the
-// experiments runner and default-constructed dse.Explorers — so popular
-// configurations are analyzed once per process, not once per subsystem.
-func SharedCache() *Cache {
-	if c := sharedCache.Load(); c != nil {
-		return c
-	}
-	c := NewCache()
-	if sharedCache.CompareAndSwap(nil, c) {
-		return c
-	}
-	return sharedCache.Load()
-}
-
-// SetSharedCacheLimit replaces the process-wide cache with a fresh one
-// bounded to limit entries (limit <= 0 selects DefaultCacheLimit) and
-// returns it. Existing entries and counters are discarded; call it at
-// startup (e.g. from a -cache-entries flag), not mid-traffic.
-func SetSharedCacheLimit(limit int) *Cache {
-	c := NewCacheLimit(limit)
-	sharedCache.Store(c)
-	return c
-}
 
 // analyzeFn computes an analysis on a cache miss. It is a package
 // variable only so tests can count or stall the underlying computation;

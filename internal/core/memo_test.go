@@ -245,24 +245,6 @@ func TestCacheOffPassesThrough(t *testing.T) {
 	}
 }
 
-func TestSharedCacheProcessWide(t *testing.T) {
-	if SharedCache() != SharedCache() {
-		t.Fatal("SharedCache not a stable singleton")
-	}
-	old := SharedCache()
-	resized := SetSharedCacheLimit(128)
-	defer SetSharedCacheLimit(0) // restore a default-sized cache
-	if SharedCache() != resized || resized == old {
-		t.Fatal("SetSharedCacheLimit did not replace the shared cache")
-	}
-	if got := resized.Stats().Capacity; got != 128 {
-		t.Fatalf("resized capacity = %d, want 128", got)
-	}
-	if def := SetSharedCacheLimit(0); def.Stats().Capacity != DefaultCacheLimit {
-		t.Fatalf("limit 0 capacity = %d, want DefaultCacheLimit", def.Stats().Capacity)
-	}
-}
-
 // TestCacheConcurrentEvictionChurn hammers a small cache from many
 // goroutines (run under -race): a shared hot set is touched every
 // iteration while unique cold configs force continuous eviction. The

@@ -44,6 +44,7 @@ type Explorer struct {
 	// reuse is the Skyline server's persistent result store's job.
 	//
 	// Deprecated: ignored; the plan no longer memoizes per candidate.
+	// The field remains only until perfbench stops setting it.
 	Cache *core.Cache
 	// Objective optionally scores each surviving candidate with a
 	// mission-level evaluator (see NewObjective and docs/OBJECTIVES.md):

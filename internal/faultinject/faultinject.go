@@ -6,9 +6,8 @@
 // The package is built for an always-compiled-in, never-armed steady
 // state: with nothing armed, Fire is a single atomic load and a
 // return. Sites therefore stay in production binaries (there is no
-// build tag to forget), and the hot paths they sit on — the analysis
-// cache's miss fill, the exploration scheduler's chunk loop — pay one
-// predictable branch.
+// build tag to forget), and the hot paths they sit on — the exploration
+// scheduler's chunk loop, the store's I/O — pay one predictable branch.
 //
 // Faults are armed per site with Enable, which returns a disarm
 // function; tests must disarm (usually via t.Cleanup) so the
@@ -33,7 +32,9 @@ const (
 	// after it has registered the in-flight analysis and before the
 	// fill computes: an armed error is what every coalesced follower
 	// receives, and an armed panic exercises the abandoned-flight
-	// recovery path.
+	// recovery path. No production path reaches it: the site stays
+	// with core.Cache only while perfbench still compiles against the
+	// cache.
 	SiteCacheFill = "core.cache.fill"
 	// SiteDSEChunk fires at the head of every chunk of the exploration
 	// engine's chunk loop — every claimed grain of an exploration and

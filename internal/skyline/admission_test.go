@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 )
 
 // saturate opens a streaming /explore request against a big synthetic
@@ -35,7 +34,7 @@ func TestExploreAdmission429(t *testing.T) {
 	cat := catalog.Synthetic(10, 40, 40) // 16000 candidates: a long stream
 	// QueueDepth < 0 disables the wait queue: this test pins the legacy
 	// instant-shed mode (queued admission is covered in saturation_test.go).
-	s := NewServerWith(cat, Options{MaxInflight: 1, QueueDepth: -1, Cache: core.NewCache()})
+	s := NewServerWith(cat, Options{MaxInflight: 1, QueueDepth: -1})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -116,7 +115,7 @@ func TestExploreAdmission429(t *testing.T) {
 }
 
 func TestExploreWorkersClamp(t *testing.T) {
-	s := NewServerWith(nil, Options{MaxWorkersPerRequest: 2, Cache: core.NewCache()})
+	s := NewServerWith(nil, Options{MaxWorkersPerRequest: 2})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 	cap := min(2, runtime.GOMAXPROCS(0))
@@ -177,21 +176,18 @@ func TestExploreWorkersClamp(t *testing.T) {
 }
 
 func TestHealthz(t *testing.T) {
-	s := NewServerWith(nil, Options{Cache: core.NewCache()})
+	s := NewServerWith(nil, Options{})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
-	// Two identical analyses: one miss, one hit in the server's cache.
-	for i := 0; i < 2; i++ {
-		resp, err := http.Get(srv.URL + "/api/analyze")
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+	resp, err := http.Get(srv.URL + "/api/analyze")
+	if err != nil {
+		t.Fatal(err)
 	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
 
-	resp, err := http.Get(srv.URL + "/healthz")
+	resp, err = http.Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,18 +195,16 @@ func TestHealthz(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("Content-Type = %q", ct)
 	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var h HealthJSON
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+	if err := json.Unmarshal(body, &h); err != nil {
 		t.Fatal(err)
 	}
 	if h.Status != "ok" {
 		t.Errorf("status = %q", h.Status)
-	}
-	if h.Cache.Entries != 1 || h.Cache.Hits != 1 || h.Cache.Misses != 1 {
-		t.Errorf("cache stats = %+v, want 1 entry / 1 hit / 1 miss", h.Cache)
-	}
-	if h.CacheHitRate != 0.5 {
-		t.Errorf("hit rate = %v, want 0.5", h.CacheHitRate)
 	}
 	if h.MaxInflight != 0 || h.InflightActive != 0 || h.Rejected != 0 {
 		t.Errorf("admission gauges = %+v, want all zero (unlimited)", h)
@@ -218,23 +212,14 @@ func TestHealthz(t *testing.T) {
 	if h.MaxWorkersPerRequest != runtime.GOMAXPROCS(0) {
 		t.Errorf("max workers = %d, want GOMAXPROCS", h.MaxWorkersPerRequest)
 	}
-
-	// The singleflight gauge is on the wire (zero here — no concurrent
-	// misses happened — but operators alert on its presence and growth).
-	hr2, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hr2.Body.Close()
+	// The server keeps no analysis cache, so /healthz reports none.
 	var raw map[string]json.RawMessage
-	if err := json.NewDecoder(hr2.Body).Decode(&raw); err != nil {
+	if err := json.Unmarshal(body, &raw); err != nil {
 		t.Fatal(err)
 	}
-	var cacheObj map[string]json.RawMessage
-	if err := json.Unmarshal(raw["cache"], &cacheObj); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := cacheObj["coalesced"]; !ok {
-		t.Error("/healthz cache gauges missing the coalesced counter")
+	for _, key := range []string{"cache", "cache_hit_rate"} {
+		if _, ok := raw[key]; ok {
+			t.Errorf("/healthz still carries %q", key)
+		}
 	}
 }

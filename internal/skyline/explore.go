@@ -471,7 +471,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	// Persistent-store fast path, checked before admission: a warm
 	// repeat is disk I/O, not engine work, so it neither waits for nor
 	// holds an exploration slot — exactly what keeps a restarted
-	// server responsive while its in-memory cache is still cold. A
+	// server responsive while its compiled-space table is still cold. A
 	// degraded request skips the store: its mutated top-K shape must
 	// not be stored under (or served from) the canonical key. Any
 	// store failure falls through to recompute.

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/dse"
 	"repro/internal/faultinject"
 	"repro/internal/units"
@@ -252,16 +251,23 @@ func TestExploreBadParams(t *testing.T) {
 
 // TestExploreStreamsAndDisconnectCancels drives the acceptance
 // criterion end to end against a synthetically enlarged catalog: the
-// first NDJSON line must arrive while the sweep is still running, and
-// closing the connection must cancel the exploration — observed
-// through the server's shared cache, which only grows while workers
-// are analyzing.
+// first NDJSON line must arrive while the exploration is still
+// running, and closing the connection must cancel it. Every chunk is
+// slowed, so the full 16000-candidate inline stream (32 grains of 512)
+// takes well over a second; a handler that noticed the disconnect
+// returns within about one chunk delay of it, one that kept streaming
+// returns only at the end of the space.
 func TestExploreStreamsAndDisconnectCancels(t *testing.T) {
 	cat := catalog.Synthetic(10, 40, 40) // 16000 candidates
-	// A private cache isolates the growth observation from other tests
-	// sharing the process-wide core.SharedCache.
-	s := NewServerWith(cat, Options{Cache: core.NewCache()})
-	srv := httptest.NewServer(s)
+	const chunkDelay = 50 * time.Millisecond
+	const fullStream = 32 * chunkDelay
+	defer faultinject.Enable(faultinject.SiteDSEChunk, faultinject.Fault{Latency: chunkDelay})()
+	s := NewServerWith(cat, Options{})
+	returned := make(chan time.Time, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.ServeHTTP(w, r)
+		returned <- time.Now()
+	}))
 	defer srv.Close()
 
 	baseline := runtime.NumGoroutine()
@@ -269,9 +275,8 @@ func TestExploreStreamsAndDisconnectCancels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first line must be readable before the sweep finishes (the
-	// handler flushes the first line at once); afterwards the exploration is
-	// still far from its 16000-candidate end.
+	// The first line must be readable before the exploration finishes
+	// (the handler flushes the first line at once).
 	br := bufio.NewReader(resp.Body)
 	line, err := br.ReadBytes('\n')
 	if err != nil {
@@ -284,23 +289,18 @@ func TestExploreStreamsAndDisconnectCancels(t *testing.T) {
 	if first.Name == "" {
 		t.Fatal("first line has no name")
 	}
+	disconnected := time.Now()
 	resp.Body.Close() // mid-stream disconnect
 
-	// Cancellation: the analysis cache stops growing well short of the
-	// full space once the request context dies.
-	total := 16000
-	var settled, prev int
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		settled = s.cache.Len()
-		time.Sleep(50 * time.Millisecond)
-		if s.cache.Len() == settled && settled == prev {
-			break
+	// Cancellation: the handler returns well before the full stream
+	// could have been produced.
+	select {
+	case end := <-returned:
+		if took := end.Sub(disconnected); took >= fullStream/2 {
+			t.Fatalf("handler returned %v after the disconnect, want < %v: the exploration kept running", took, fullStream/2)
 		}
-		prev = settled
-	}
-	if settled >= total {
-		t.Fatalf("exploration ran to completion (%d analyses) despite disconnect", settled)
+	case <-time.After(5 * time.Second):
+		t.Fatal("handler still running 5s after the disconnect")
 	}
 	// And the handler + worker goroutines wind down to baseline.
 	waitUntil := time.Now().Add(2 * time.Second)
@@ -325,7 +325,7 @@ func TestExploreStreamFlushesOnInterval(t *testing.T) {
 	// candidates in grains of 8, walked in sequence, so the stream
 	// spans 8 chunk delays.
 	cat := catalog.Synthetic(2, 4, 8)
-	srv := httptest.NewServer(NewServerWith(cat, Options{Cache: core.NewCache()}))
+	srv := httptest.NewServer(NewServerWith(cat, Options{}))
 	defer srv.Close()
 	const chunkDelay = 8 * exploreFlushInterval
 	defer faultinject.Enable(faultinject.SiteDSEChunk, faultinject.Fault{Latency: chunkDelay})()
@@ -368,7 +368,7 @@ func TestExploreStreamFlushesOnInterval(t *testing.T) {
 // inline on the handler's goroutine: the panic must be recovered into a
 // terminal {"error":…} line, and the server must keep serving.
 func TestExplorePanicInlineEndsStreamCleanly(t *testing.T) {
-	srv := httptest.NewServer(NewServerWith(nil, Options{Cache: core.NewCache()}))
+	srv := httptest.NewServer(NewServerWith(nil, Options{}))
 	defer srv.Close()
 	disarm := faultinject.Enable(faultinject.SiteDSEChunk, faultinject.Fault{Panic: true})
 	defer disarm()

@@ -93,7 +93,8 @@ func (e *endpointStats) observe(code int, d time.Duration) {
 }
 
 // serverMetrics aggregates everything /metrics exports beyond the
-// admitter and cache, which are scraped directly.
+// admitter, compiled-space table and store, which are scraped
+// directly.
 type serverMetrics struct {
 	// endpoints is fixed at construction (one entry per registered
 	// route), so lookups after startup are read-only map hits.
@@ -171,8 +172,8 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 // handleMetrics serves the Prometheus text exposition format:
 // admission-queue gauges and shed counters, the queue-wait and
 // per-endpoint latency summaries, panic and degradation counters, and
-// the shared cache's gauges — the /healthz numbers plus the series
-// only saturation makes interesting.
+// the compiled-space and store series — the /healthz numbers plus the
+// series only saturation makes interesting.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
 	gauge := func(name, help string, v float64) {
@@ -213,16 +214,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("skyline_compiled_spaces", "Compiled /explore design spaces resident in the server's table.", float64(s.spaces.len()))
 	counter("skyline_compiled_space_hits_total", "Engine-run /explore requests whose design space was already compiled.")("", float64(s.spaces.hits.Load()))
 	counter("skyline_compiled_space_misses_total", "Engine-run /explore requests that compiled their design space.")("", float64(s.spaces.misses.Load()))
-
-	st := s.cache.Stats()
-	gauge("skyline_cache_entries", "Memoized analyses resident in the shared cache.", float64(st.Entries))
-	gauge("skyline_cache_capacity", "Shared cache entry bound.", float64(st.Capacity))
-	cc := counter("skyline_cache_lookups_total", "Cache lookups, by outcome (coalesced misses also count as misses).")
-	cc(`{outcome="hit"}`, float64(st.Hits))
-	cc(`{outcome="miss"}`, float64(st.Misses))
-	cc(`{outcome="coalesced"}`, float64(st.Coalesced))
-	counter("skyline_cache_evictions_total", "Cache entries evicted.")("", float64(st.Evictions))
-	counter("skyline_cache_fills_total", "Cache misses whose singleflight leader ran a real analysis.")("", float64(st.Fills))
 
 	if s.store != nil {
 		ss := s.store.Stats()

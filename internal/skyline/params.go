@@ -51,16 +51,11 @@
 //	                      evaluator; metric= picks the rendered column
 //	                      and seed= the Monte-Carlo base seed.
 //	/healthz         GET  liveness plus operational gauges as JSON: the
-//	                      shared analysis-cache statistics (entries,
-//	                      capacity, shards, hits/misses/evictions/fills,
-//	                      hit rate, plus the coalesced count — misses
-//	                      that waited on another request's in-flight
-//	                      analysis of the same configuration instead of
-//	                      recomputing it), the admission-control state
-//	                      (in-flight, limit, queue depth/bound,
-//	                      shed/degraded/panic counts, quota clients),
-//	                      and — when the persistent result store is
-//	                      enabled — the store gauges (artifacts, bytes,
+//	                      admission-control state (in-flight, limit,
+//	                      queue depth/bound, shed/degraded/panic counts,
+//	                      quota clients, per-request worker cap), and —
+//	                      when the persistent result store is enabled —
+//	                      the store gauges (artifacts, bytes,
 //	                      hits/misses, quarantined, degraded state).
 //	/metrics         GET  the same gauges in the Prometheus text format,
 //	                      plus the series /healthz cannot carry: queue
@@ -101,9 +96,10 @@
 // Options.DefaultTimeout bounds each engine-driven request's wall
 // time; the timeout= query knob ("500ms", "2s", or bare seconds)
 // requests less, clamped to the server default. The deadline
-// propagates through the exploration engine, its evaluators and the
-// analysis cache's coalesced waits, so an expired request stops
-// consuming cores mid-space.
+// propagates through the exploration engine and its evaluators, so an
+// expired request stops consuming cores mid-space. The page endpoints
+// (/, /plot.svg, /api/analyze) run one analysis each and take no
+// deadline: they ignore timeout=.
 //
 // Options.ClientRPS meters clients (keyed by X-API-Key, else remote
 // address) with token buckets. Idle capacity ignores quotas — a free
@@ -125,17 +121,14 @@
 // Options.MaxWorkersPerRequest so one client cannot monopolize the
 // cores: the engine-driven endpoints accept the workers= knob and echo
 // the pool size they ran in X-Explore-Workers (on /explore, 1 unless
-// the objective is heavy enough to pay for the pool). The page endpoints
-// (/api/analyze, /plot.svg) memoize analyses in the process-wide
-// core.SharedCache (sharded, segmented-LRU eviction) unless Options
-// supplies a dedicated cache. /explore does not: each candidate is
-// recomputed from the plan's precomputed partials, which is cheaper
-// than a cache probe, and whole responses are reused through the
-// persistent result store.
+// the objective is heavy enough to pay for the pool). Nothing is
+// memoized per analysis: the page endpoints call core.Analyze and
+// /explore recomputes each candidate from the plan's precomputed
+// partials, both no slower than a cache probe. Whole responses are
+// reused through the persistent result store.
 //
-// cmd/skyline exposes these as -cache-entries, -max-inflight,
-// -queue-depth, -default-timeout, -client-rps and
-// -max-workers-per-request flags.
+// cmd/skyline exposes these as -max-inflight, -queue-depth,
+// -default-timeout, -client-rps and -max-workers-per-request flags.
 //
 // # Persistence
 //

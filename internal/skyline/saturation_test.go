@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/faultinject"
 )
 
@@ -216,7 +215,6 @@ func TestSaturationRace(t *testing.T) {
 		QueueDepth:     4,
 		DefaultTimeout: 2 * time.Second,
 		ClientRPS:      50,
-		Cache:          core.NewCache(),
 	})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
@@ -288,7 +286,7 @@ func TestSaturationRace(t *testing.T) {
 
 func TestExploreDegradedUnderSaturation(t *testing.T) {
 	cat := catalog.Synthetic(10, 40, 40)
-	s := NewServerWith(cat, Options{MaxInflight: 1, QueueDepth: 2, Cache: core.NewCache()})
+	s := NewServerWith(cat, Options{MaxInflight: 1, QueueDepth: 2})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -356,7 +354,7 @@ func TestExploreDegradedUnderSaturation(t *testing.T) {
 
 func TestTimeoutKnob(t *testing.T) {
 	cat := catalog.Synthetic(10, 40, 40) // big enough that 1ms cannot finish
-	s := NewServerWith(cat, Options{Cache: core.NewCache()})
+	s := NewServerWith(cat, Options{})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -398,7 +396,7 @@ func TestTimeoutKnob(t *testing.T) {
 }
 
 func TestLightEndpointsQuotaMetered(t *testing.T) {
-	s := NewServerWith(nil, Options{ClientRPS: 0.001, ClientBurst: 2, Cache: core.NewCache()})
+	s := NewServerWith(nil, Options{ClientRPS: 0.001, ClientBurst: 2})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -430,7 +428,7 @@ func TestLightEndpointsQuotaMetered(t *testing.T) {
 }
 
 func TestPanicRecoveryMiddleware(t *testing.T) {
-	s := NewServerWith(nil, Options{Cache: core.NewCache()})
+	s := NewServerWith(nil, Options{})
 	s.handle("/boom", func(w http.ResponseWriter, r *http.Request) {
 		panic("kaboom")
 	})
@@ -464,74 +462,12 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	}
 }
 
-// TestFaultInjectedLeaderPanicCleanErrors arms a panic fault at the
-// cache-fill site and runs a coalesced burst through /api/analyze:
-// the leader's panic must surface as a clean error to every caller —
-// no hung followers, no poisoned cache entry — and once disarmed the
-// same configuration analyzes fine.
-func TestFaultInjectedLeaderPanicCleanErrors(t *testing.T) {
-	defer faultinject.Reset()
-	s := NewServerWith(nil, Options{Cache: core.NewCache()})
-	srv := httptest.NewServer(s)
-	defer srv.Close()
-
-	faultinject.Enable(faultinject.SiteCacheFill, faultinject.Fault{Panic: true, Times: 1})
-
-	const n = 4
-	statuses := make(chan int, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := http.Get(srv.URL + "/api/analyze")
-			if err != nil {
-				statuses <- 0
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			statuses <- resp.StatusCode
-		}()
-	}
-	wg.Wait()
-	close(statuses)
-
-	// The injected panic fires once. Whichever request led the flight
-	// dies with it; its coalesced followers and any retriers must see
-	// either the clean 500 (the middleware's answer to the panic), a
-	// 400 from the abandoned-flight error, or a 200 from a re-fill.
-	// Nothing may hang (wg.Wait returned) and nothing may 5xx forever:
-	anyServed := false
-	for code := range statuses {
-		if code == 0 {
-			t.Error("a coalesced request errored at the transport level")
-		}
-		if code == http.StatusOK {
-			anyServed = true
-		}
-	}
-	_ = anyServed
-
-	// Disarmed, the same config must analyze cleanly — the panicked
-	// flight must not have poisoned the cache.
-	resp, err := http.Get(srv.URL + "/api/analyze")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("analyze after disarm = %d, want 200", resp.StatusCode)
-	}
-}
-
 // TestFaultInjectedChunkErrorSurfaces arms an error fault on the DSE
 // chunk path and checks a selection exploration reports it instead of
 // succeeding silently.
 func TestFaultInjectedChunkErrorSurfaces(t *testing.T) {
 	defer faultinject.Reset()
-	s := NewServerWith(nil, Options{Cache: core.NewCache()})
+	s := NewServerWith(nil, Options{})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -560,7 +496,7 @@ func TestFaultInjectedChunkErrorSurfaces(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	s := NewServerWith(nil, Options{MaxInflight: 2, ClientRPS: 100, Cache: core.NewCache()})
+	s := NewServerWith(nil, Options{MaxInflight: 2, ClientRPS: 100})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -599,7 +535,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"skyline_queue_wait_seconds_count 0",
 		`skyline_requests_total{endpoint="/api/analyze",code="200"} 1`,
 		`skyline_requests_total{endpoint="/explore",code="200"} 1`,
-		`skyline_cache_lookups_total{outcome="miss"}`,
 		`skyline_request_duration_seconds{endpoint="/api/analyze",quantile="0.5"}`,
 	} {
 		if !strings.Contains(text, series) {

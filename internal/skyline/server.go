@@ -26,10 +26,6 @@ import (
 type Server struct {
 	cat *catalog.Catalog
 	mux *http.ServeMux
-	// cache memoizes the page endpoints' analyses across requests:
-	// under heavy traffic the popular configurations hit the F-1 model
-	// once, not per request.
-	cache *core.Cache
 	// adm is the admission layer for the engine-driven endpoints: a
 	// bounded deadline-aware FIFO queue over the slot pool, per-client
 	// quotas, and the Retry-After/saturation estimates.
@@ -60,13 +56,12 @@ type Server struct {
 const defaultDegradeTopK = 50
 
 // Options tune a Server beyond its catalog. The zero value preserves
-// the permissive defaults: the process-wide shared cache, no in-flight
-// admission limit, no request deadline, no quotas, and per-request
-// workers capped at GOMAXPROCS.
+// the permissive defaults: no in-flight admission limit, no request
+// deadline, no quotas, and per-request workers capped at GOMAXPROCS.
 type Options struct {
-	// Cache memoizes the page endpoints' analyses (/api/analyze,
-	// /plot.svg) across requests. Nil selects the process-wide
-	// core.SharedCache; core.CacheOff() disables caching.
+	// Deprecated: ignored. The page endpoints call core.Analyze
+	// directly, which is no slower than a cache probe. The field
+	// remains only until perfbench stops setting it.
 	Cache *core.Cache
 	// MaxInflight bounds how many engine-driven requests (/explore,
 	// /grid.svg, /sweep.svg) may run concurrently. Excess requests wait
@@ -115,10 +110,6 @@ func NewServerWith(cat *catalog.Catalog, opt Options) *Server {
 	if cat == nil {
 		cat = catalog.Default()
 	}
-	cache := opt.Cache
-	if cache == nil {
-		cache = core.SharedCache()
-	}
 	maxWorkers := runtime.GOMAXPROCS(0)
 	if opt.MaxWorkersPerRequest > 0 && opt.MaxWorkersPerRequest < maxWorkers {
 		maxWorkers = opt.MaxWorkersPerRequest
@@ -130,7 +121,6 @@ func NewServerWith(cat *catalog.Catalog, opt Options) *Server {
 	s := &Server{
 		cat:            cat,
 		mux:            http.NewServeMux(),
-		cache:          cache,
 		adm:            newAdmitter(opt.MaxInflight, queueCap, newBuckets(opt.ClientRPS, opt.ClientBurst)),
 		metrics:        newServerMetrics(),
 		maxWorkers:     maxWorkers,
@@ -232,12 +222,14 @@ func (s *Server) engineError(w http.ResponseWriter, ctx context.Context, err err
 	}
 }
 
-// HealthJSON is the /healthz response shape: liveness plus the shared
-// cache and admission-control gauges.
+// HealthJSON is the /healthz response shape: liveness plus the
+// admission-control and store gauges.
 type HealthJSON struct {
-	Status       string          `json:"status"`
-	Cache        core.CacheStats `json:"cache"`
-	CacheHitRate JSONFloat       `json:"cache_hit_rate"`
+	Status string `json:"status"`
+	// Deprecated: always zero and never encoded; the server keeps no
+	// analysis cache. The field remains only until perfbench stops
+	// reading it.
+	Cache core.CacheStats `json:"-"`
 	// InflightActive counts held exploration slots; MaxInflight is the
 	// slot pool size (0 = unlimited).
 	InflightActive int `json:"inflight_active"`
@@ -258,11 +250,8 @@ type HealthJSON struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	st := s.cache.Stats()
 	out := HealthJSON{
 		Status:               "ok",
-		Cache:                st,
-		CacheHitRate:         JSONFloat(st.HitRate()),
 		InflightActive:       int(s.adm.active.Load()),
 		MaxInflight:          s.adm.capacity,
 		QueueDepth:           int(s.adm.depth.Load()),
@@ -380,10 +369,8 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// analysisFor runs the model for a request. ctx scopes a coalesced
-// cache wait: a caller stuck behind another request's fill can still
-// honor its own deadline or disconnect.
-func (s *Server) analysisFor(ctx context.Context, r *http.Request) (core.Analysis, error) {
+// analysisFor runs the model for a request.
+func (s *Server) analysisFor(r *http.Request) (core.Analysis, error) {
 	p, err := ParseParams(r.URL.Query())
 	if err != nil {
 		return core.Analysis{}, err
@@ -392,7 +379,7 @@ func (s *Server) analysisFor(ctx context.Context, r *http.Request) (core.Analysi
 	if err != nil {
 		return core.Analysis{}, err
 	}
-	return s.cache.AnalyzeContext(ctx, cfg)
+	return core.Analyze(cfg)
 }
 
 // JSONFloat is a float64 whose non-finite values encode as JSON null.
@@ -475,18 +462,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !s.admitLight(w, r) {
 		return
 	}
-	ctx, cancel, err := s.requestContext(r)
+	an, err := s.analysisFor(r)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	defer cancel()
-	an, err := s.analysisFor(ctx, r)
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			s.engineError(w, ctx, err)
-			return
-		}
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -554,7 +531,7 @@ func (s *Server) handlePlot(w http.ResponseWriter, r *http.Request) {
 	if !s.admitLight(w, r) {
 		return
 	}
-	an, err := s.analysisFor(r.Context(), r)
+	an, err := s.analysisFor(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -598,7 +575,7 @@ func (s *Server) handlePage(w http.ResponseWriter, r *http.Request) {
 		Algorithms: s.cat.AlgorithmNames(),
 		Query:      template.URL(query.Encode()),
 	}
-	an, err := s.analysisFor(r.Context(), r)
+	an, err := s.analysisFor(r)
 	if err != nil {
 		data.Error = err.Error()
 	} else {

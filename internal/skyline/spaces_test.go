@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/dse"
 	"repro/internal/faultinject"
 )
@@ -65,10 +64,10 @@ func serveExplore(s *Server, query string) (int, []byte) {
 	return rec.Code, rec.Body.Bytes()
 }
 
-// newEngineServer is a server without a persistent store and with its
-// own analysis cache, so every /explore request runs the engine.
+// newEngineServer is a server without a persistent store, so every
+// /explore request runs the engine.
 func newEngineServer(cat *catalog.Catalog) *Server {
-	return NewServerWith(cat, Options{Cache: core.NewCache()})
+	return NewServerWith(cat, Options{})
 }
 
 // axisQuery renders repeated key=value pairs, one per name, so names

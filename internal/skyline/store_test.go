@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/dse"
 	"repro/internal/faultinject"
 	"repro/internal/store"
@@ -22,7 +21,7 @@ import (
 )
 
 // storedServer is one server generation over a persistent store
-// directory: its own in-memory cache (no state shared with another
+// directory: its own in-memory state (nothing shared with another
 // generation) and a freshly opened store over the shared dir.
 type storedServer struct {
 	srv *httptest.Server
@@ -36,7 +35,7 @@ func openStoredServer(t *testing.T, dir string) *storedServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServerWith(catalog.Default(), Options{Cache: core.NewCache(), Store: st})
+	s := NewServerWith(catalog.Default(), Options{Store: st})
 	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
 	return &storedServer{srv: srv, s: s, st: st}
@@ -81,7 +80,7 @@ func smallExplore(extra url.Values) string {
 }
 
 // TestStoreRestartServesByteIdentical is the tentpole acceptance test:
-// a restarted server (fresh process state: new cache, reopened store)
+// a restarted server (fresh process state, reopened store)
 // answers previously computed explorations byte-identically from disk
 // without running the engine — proven by an error armed at the
 // engine's plan seam for the whole warm generation.
@@ -159,7 +158,7 @@ func TestStoreSupersetFilter(t *testing.T) {
 	// candidate's exact reading (see the grams caveat in
 	// docs/PERSISTENCE.md).
 	constrained := smallExplore(url.Values{"max_power_w": {"12.5"}, "min_velocity_ms": {"0.5"}})
-	plain := httptest.NewServer(NewServerWith(catalog.Default(), Options{Cache: core.NewCache()}))
+	plain := httptest.NewServer(NewServerWith(catalog.Default(), Options{}))
 	defer plain.Close()
 	want, _ := fetch(t, plain, constrained)
 	if len(want) == 0 {
@@ -352,7 +351,7 @@ func TestHealthzStoreSection(t *testing.T) {
 }
 
 // TestMetricsStoreSeries: the Prometheus endpoint carries the store
-// and cache-fill series.
+// series.
 func TestMetricsStoreSeries(t *testing.T) {
 	ss := openStoredServer(t, t.TempDir())
 	path := smallExplore(url.Values{"top": {"2"}})
@@ -360,7 +359,6 @@ func TestMetricsStoreSeries(t *testing.T) {
 	fetch(t, ss.srv, path) // hit
 	body, _ := fetch(t, ss.srv, "/metrics")
 	for _, want := range []string{
-		"skyline_cache_fills_total",
 		`skyline_store_lookups_total{outcome="hit"} 1`,
 		`skyline_store_served_total{kind="explore"} 1`,
 		"skyline_store_artifacts 1",

@@ -1,5 +1,5 @@
-// Package store is the durable, content-addressed result tier behind
-// the in-memory analysis cache: completed exploration responses —
+// Package store is the Skyline server's durable, content-addressed
+// result tier: completed exploration responses —
 // /explore NDJSON result sets (including top-K selections and Pareto
 // frontiers) and /grid.svg heatmaps — are spilled to disk keyed by a
 // canonical hash of the request identity, and repeat requests after a
