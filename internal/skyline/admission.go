@@ -356,17 +356,14 @@ type bucket struct {
 // defaultMaxClients bounds the quota table (~100 bytes per client).
 const defaultMaxClients = 8192
 
-func newBuckets(rate, burst float64) *buckets {
+func newBuckets(rate float64) *buckets {
 	if rate <= 0 {
 		return nil
-	}
-	if burst < 1 {
-		burst = math.Max(1, 2*rate)
 	}
 	return &buckets{
 		m:          make(map[string]*bucket),
 		rate:       rate,
-		burst:      burst,
+		burst:      math.Max(1, 2*rate),
 		maxClients: defaultMaxClients,
 	}
 }

@@ -102,7 +102,7 @@
 // deadline: they ignore timeout=.
 //
 // Options.ClientRPS meters clients (keyed by X-API-Key, else remote
-// address) with token buckets. Idle capacity ignores quotas — a free
+// address) with token buckets of max(1, 2×ClientRPS) tokens. Idle capacity ignores quotas — a free
 // slot is never wasted — but under saturation over-quota clients are
 // shed first, and the lightweight endpoints (/api/analyze, /plot.svg,
 // /compare.svg, /api/compare) answer 429 outright when a client's

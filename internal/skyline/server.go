@@ -80,12 +80,9 @@ type Options struct {
 	// ClientRPS enables per-client token-bucket quotas refilling at
 	// this rate (requests/second), keyed by X-API-Key or remote
 	// address. Over-quota requests are shed first under saturation, and
-	// the lightweight analysis endpoints answer 429 outright.
-	// 0 disables quotas.
+	// the lightweight analysis endpoints answer 429 outright. A bucket
+	// holds max(1, 2×ClientRPS) tokens. 0 disables quotas.
 	ClientRPS float64
-	// ClientBurst is the quota bucket size (max burst above the steady
-	// rate). 0 selects max(1, 2×ClientRPS).
-	ClientBurst float64
 	// MaxWorkersPerRequest clamps the workers= query knob (and the
 	// default pool size) so one client cannot monopolize the cores.
 	// 0 or anything above GOMAXPROCS means GOMAXPROCS.
@@ -121,7 +118,7 @@ func NewServerWith(cat *catalog.Catalog, opt Options) *Server {
 	s := &Server{
 		cat:            cat,
 		mux:            http.NewServeMux(),
-		adm:            newAdmitter(opt.MaxInflight, queueCap, newBuckets(opt.ClientRPS, opt.ClientBurst)),
+		adm:            newAdmitter(opt.MaxInflight, queueCap, newBuckets(opt.ClientRPS)),
 		metrics:        newServerMetrics(),
 		maxWorkers:     maxWorkers,
 		defaultTimeout: opt.DefaultTimeout,
