@@ -176,7 +176,7 @@ func TestExploreWorkersClamp(t *testing.T) {
 }
 
 func TestHealthz(t *testing.T) {
-	s := NewServerWith(nil, Options{})
+	s := NewServer(nil)
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 

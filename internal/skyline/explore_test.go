@@ -262,7 +262,7 @@ func TestExploreStreamsAndDisconnectCancels(t *testing.T) {
 	const chunkDelay = 50 * time.Millisecond
 	const fullStream = 32 * chunkDelay
 	defer faultinject.Enable(faultinject.SiteDSEChunk, faultinject.Fault{Latency: chunkDelay})()
-	s := NewServerWith(cat, Options{})
+	s := NewServer(cat)
 	returned := make(chan time.Time, 1)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.ServeHTTP(w, r)
@@ -325,7 +325,7 @@ func TestExploreStreamFlushesOnInterval(t *testing.T) {
 	// candidates in grains of 8, walked in sequence, so the stream
 	// spans 8 chunk delays.
 	cat := catalog.Synthetic(2, 4, 8)
-	srv := httptest.NewServer(NewServerWith(cat, Options{}))
+	srv := httptest.NewServer(NewServer(cat))
 	defer srv.Close()
 	const chunkDelay = 8 * exploreFlushInterval
 	defer faultinject.Enable(faultinject.SiteDSEChunk, faultinject.Fault{Latency: chunkDelay})()
@@ -368,7 +368,7 @@ func TestExploreStreamFlushesOnInterval(t *testing.T) {
 // inline on the handler's goroutine: the panic must be recovered into a
 // terminal {"error":…} line, and the server must keep serving.
 func TestExplorePanicInlineEndsStreamCleanly(t *testing.T) {
-	srv := httptest.NewServer(NewServerWith(nil, Options{}))
+	srv := httptest.NewServer(NewServer(nil))
 	defer srv.Close()
 	disarm := faultinject.Enable(faultinject.SiteDSEChunk, faultinject.Fault{Panic: true})
 	defer disarm()

@@ -354,7 +354,7 @@ func TestExploreDegradedUnderSaturation(t *testing.T) {
 
 func TestTimeoutKnob(t *testing.T) {
 	cat := catalog.Synthetic(10, 40, 40) // big enough that 1ms cannot finish
-	s := NewServerWith(cat, Options{})
+	s := NewServer(cat)
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -426,7 +426,7 @@ func TestLightEndpointsQuotaMetered(t *testing.T) {
 }
 
 func TestPanicRecoveryMiddleware(t *testing.T) {
-	s := NewServerWith(nil, Options{})
+	s := NewServer(nil)
 	s.handle("/boom", func(w http.ResponseWriter, r *http.Request) {
 		panic("kaboom")
 	})
@@ -465,7 +465,7 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 // succeeding silently.
 func TestFaultInjectedChunkErrorSurfaces(t *testing.T) {
 	defer faultinject.Reset()
-	s := NewServerWith(nil, Options{})
+	s := NewServer(nil)
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 

@@ -67,7 +67,7 @@ func serveExplore(s *Server, query string) (int, []byte) {
 // newEngineServer is a server without a persistent store, so every
 // /explore request runs the engine.
 func newEngineServer(cat *catalog.Catalog) *Server {
-	return NewServerWith(cat, Options{})
+	return NewServer(cat)
 }
 
 // axisQuery renders repeated key=value pairs, one per name, so names

@@ -158,7 +158,7 @@ func TestStoreSupersetFilter(t *testing.T) {
 	// candidate's exact reading (see the grams caveat in
 	// docs/PERSISTENCE.md).
 	constrained := smallExplore(url.Values{"max_power_w": {"12.5"}, "min_velocity_ms": {"0.5"}})
-	plain := httptest.NewServer(NewServerWith(catalog.Default(), Options{}))
+	plain := httptest.NewServer(NewServer(catalog.Default()))
 	defer plain.Close()
 	want, _ := fetch(t, plain, constrained)
 	if len(want) == 0 {
