@@ -138,7 +138,9 @@ func (c *Chart) SVG(w io.Writer) error {
 	return err
 }
 
-func escape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+// xmlEscaper escapes text for SVG element content and attribute
+// values. A Replacer is safe for concurrent use, so every render
+// shares this one instead of building its own.
+var xmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
+func escape(s string) string { return xmlEscaper.Replace(s) }

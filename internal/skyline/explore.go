@@ -557,12 +557,15 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		for i := range cands {
 			body = enc.appendLine(body, &cands[i])
 		}
-		if storeKey != "" && len(body) > 0 && ctx.Err() == nil {
-			s.store.Put(storeKey, body)
-		}
+		// Decided before the write: a client that leaves mid-write
+		// cancels ctx, but the slate it leaves behind is complete.
+		persist := storeKey != "" && len(body) > 0 && ctx.Err() == nil
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		_, _ = w.Write(body) // a write failure means the client left
+		if persist {
+			flushThenPersist(w, s.store, storeKey, body)
+		}
 		return
 	}
 

@@ -2,6 +2,7 @@ package skyline
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -10,10 +11,12 @@ import (
 	"net/url"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/store"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden.txt from the current server")
@@ -24,12 +27,34 @@ var update = flag.Bool("update", false, "rewrite testdata/golden.txt from the cu
 // served over (see goldenServers).
 const goldenPath = "testdata/golden.txt"
 
-// goldenServers builds one in-process server per corpus host.
-func goldenServers() map[string]http.Handler {
-	return map[string]http.Handler{
-		"default": NewServer(nil),
-		"hostile": NewServer(hostileCatalog()),
+// goldenServers builds one in-process server per corpus host. The
+// "store" and "hostile-store" hosts serve the default and hostile
+// catalogs over a fresh persistent store each.
+func goldenServers(t *testing.T) map[string]http.Handler {
+	stored := func(cat *catalog.Catalog) http.Handler {
+		st, err := store.Open(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewServerWith(cat, Options{Store: st})
 	}
+	return map[string]http.Handler{
+		"default":       NewServer(nil),
+		"hostile":       NewServer(hostileCatalog()),
+		"store":         stored(catalog.Default()),
+		"hostile-store": stored(hostileCatalog()),
+	}
+}
+
+// goldenStoreTwins maps each store-backed corpus host to the storeless
+// host over the same catalog.
+var goldenStoreTwins = map[string]string{"store": "default", "hostile-store": "hostile"}
+
+// isFilteredSlice reports whether a store-host corpus URL is a
+// constrained slice, which the store answers by filtering its stored
+// superset.
+func isFilteredSlice(q url.Values) bool {
+	return q.Has("min_velocity_ms") || q.Has("max_power_w") || q.Has("max_payload_g")
 }
 
 // goldenQuery encodes key/value pairs in order; url.Values.Encode sorts the
@@ -103,6 +128,32 @@ func goldenURLs() []string {
 			"http://hostile/plot.svg?"+hostile(i),
 			"http://hostile/api/analyze?"+hostile(i))
 	}
+
+	// Filtered store answers: a per-UAV superset stream, stored by its
+	// own (first) request, then constrained slices of it, each of which
+	// the store answers by filtering the superset. The last slice of
+	// each keeps no line. The hostile superset carries the sensor axis,
+	// so escaped names reach the filter in every field.
+	entry := func(host string, superset []string, cons ...[]string) {
+		urls = append(urls, "http://"+host+"/explore?"+goldenQuery(superset...))
+		for _, c := range cons {
+			urls = append(urls, "http://"+host+"/explore?"+goldenQuery(append(slices.Clone(superset), c...)...))
+		}
+	}
+	entry("store", []string{"uav", catalog.UAVAscTecPelican},
+		[]string{"min_velocity_ms", "5"},
+		[]string{"max_power_w", "10"},
+		[]string{"max_payload_g", "110"},
+		[]string{"min_velocity_ms", "1000"})
+	hostileSuperset := []string{"uav", hostileUAVs[0], "sensor", "default"}
+	for _, name := range hostileSensors {
+		hostileSuperset = append(hostileSuperset, "sensor", name)
+	}
+	entry("hostile-store", hostileSuperset,
+		[]string{"min_velocity_ms", "5"},
+		[]string{"max_power_w", "5"},
+		[]string{"max_payload_g", "60"},
+		[]string{"min_velocity_ms", "1000"})
 	return urls
 }
 
@@ -110,8 +161,12 @@ func goldenURLs() []string {
 // body's hash and length with testdata/golden.txt: same request, same
 // bytes, across commits. -update rewrites the file; a changed line is
 // a changed response, so the commit that moves one says why.
+//
+// A constrained slice on a store host must also be a filtered store
+// answer, byte-identical to what the storeless server over the same
+// catalog computes.
 func TestGolden(t *testing.T) {
-	servers := goldenServers()
+	servers := goldenServers(t)
 	var got []string
 	for _, u := range goldenURLs() {
 		req := httptest.NewRequest(http.MethodGet, u, nil)
@@ -120,6 +175,16 @@ func TestGolden(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Errorf("%s: status %d, want 200: %s", u, rec.Code, rec.Body)
 			continue
+		}
+		if twin, ok := goldenStoreTwins[req.Host]; ok && isFilteredSlice(req.URL.Query()) {
+			if h := rec.Header().Get("X-Explore-Store"); h != "filtered" {
+				t.Errorf("%s: X-Explore-Store = %q, want \"filtered\"", u, h)
+			}
+			ref := httptest.NewRecorder()
+			servers[twin].ServeHTTP(ref, httptest.NewRequest(http.MethodGet, u, nil))
+			if !bytes.Equal(rec.Body.Bytes(), ref.Body.Bytes()) {
+				t.Errorf("%s: filtered answer differs from the storeless %s server's (%d vs %d bytes)", u, twin, rec.Body.Len(), ref.Body.Len())
+			}
 		}
 		got = append(got, fmt.Sprintf("%x  %d  %s", sha256.Sum256(rec.Body.Bytes()), rec.Body.Len(), u))
 	}

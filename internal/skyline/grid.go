@@ -268,16 +268,17 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Render to memory (the renderSVG contract: a complete chart or a
-	// clean 500, never a hybrid), then spill the finished bytes.
+	// clean 500, never a hybrid), write it, then spill the same bytes.
 	var buf bytes.Buffer
 	if err := hm.SVG(&buf); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	if storeKey != "" && ctx.Err() == nil {
-		s.store.Put(storeKey, buf.Bytes())
-	}
+	persist := storeKey != "" && ctx.Err() == nil
 	w.Header().Set("Content-Type", "image/svg+xml")
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	_, _ = buf.WriteTo(w) // a write failure here means the client left
+	_, _ = w.Write(buf.Bytes()) // a write failure here means the client left
+	if persist {
+		flushThenPersist(w, s.store, storeKey, buf.Bytes())
+	}
 }

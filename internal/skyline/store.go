@@ -2,13 +2,14 @@ package skyline
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
 
 	"repro/internal/dse"
+	"repro/internal/store"
 )
 
 // This file is the serve-from-store layer: canonical keys for the
@@ -34,47 +35,49 @@ const maxSpillBytes = 8 << 20
 // timeouts and transport knobs are excluded: they never change the
 // bytes (the parallel engine's output is byte-identical to serial).
 func exploreStoreKey(rev string, req ExploreRequest) string {
-	var b strings.Builder
-	b.WriteString("explore/v1\ncatalog=")
-	b.WriteString(rev)
+	// Appended into one buffer: a default axis selection quotes every
+	// compute and algorithm name, and a filtered request builds two
+	// keys, so per-name strings would be most of its allocations.
+	b := make([]byte, 0, 512)
+	b = append(b, "explore/v1\ncatalog="...)
+	b = append(b, rev...)
 	list := func(name string, vs []string) {
-		b.WriteByte('\n')
-		b.WriteString(name)
-		b.WriteByte('=')
+		b = append(b, '\n')
+		b = append(b, name...)
+		b = append(b, '=')
 		for i, v := range vs {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			b.WriteString(strconv.Quote(v))
+			b = strconv.AppendQuote(b, v)
 		}
 	}
 	list("uav", req.Space.UAVs)
 	list("compute", req.Space.Computes)
 	list("algorithm", req.Space.Algorithms)
 	list("sensor", req.Space.Sensors)
-	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	b.WriteString("\ncons=")
-	b.WriteString(g(float64(req.Constraints.MaxPayload)))
-	b.WriteByte(',')
-	b.WriteString(g(float64(req.Constraints.MaxPower)))
-	b.WriteByte(',')
-	b.WriteString(g(float64(req.Constraints.MinVelocity)))
+	b = append(b, "\ncons="...)
+	b = strconv.AppendFloat(b, float64(req.Constraints.MaxPayload), 'g', -1, 64)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, float64(req.Constraints.MaxPower), 'g', -1, 64)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, float64(req.Constraints.MinVelocity), 'g', -1, 64)
 	if req.ObjectiveName != "" {
-		b.WriteString("\nobjective=")
-		b.WriteString(strconv.Quote(req.ObjectiveName))
-		b.WriteString("\nseed=")
-		b.WriteString(strconv.FormatInt(req.Objective.Seed(), 10))
+		b = append(b, "\nobjective="...)
+		b = strconv.AppendQuote(b, req.ObjectiveName)
+		b = append(b, "\nseed="...)
+		b = strconv.AppendInt(b, req.Objective.Seed(), 10)
 	}
 	if req.TopK > 0 {
-		b.WriteString("\ntop=")
-		b.WriteString(strconv.Itoa(req.TopK))
-		b.WriteString("\nrank=")
-		b.WriteString(strconv.Quote(req.RankName))
+		b = append(b, "\ntop="...)
+		b = strconv.AppendInt(b, int64(req.TopK), 10)
+		b = append(b, "\nrank="...)
+		b = strconv.AppendQuote(b, req.RankName)
 	}
 	if len(req.ParetoNames) > 0 {
 		list("pareto", req.ParetoNames)
 	}
-	return b.String()
+	return string(b)
 }
 
 // supersetKey is the key of the same exploration with no constraints:
@@ -143,6 +146,16 @@ func serveStored(w http.ResponseWriter, contentType, kind string, body []byte) {
 	_, _ = w.Write(body) // a failure means the client left
 }
 
+// flushThenPersist stores a buffered response that has already been
+// written to w in full: it flushes the body to the client first, so
+// the client holds its last byte while Put writes, fsyncs and renames
+// the artifact. Put still runs inside the handler, so a caller that
+// serves in process finds the artifact once the handler returns.
+func flushThenPersist(w http.ResponseWriter, st *store.Store, key string, body []byte) {
+	_ = http.NewResponseController(w).Flush() // a failure means the client left; the artifact is still good
+	st.Put(key, body)
+}
+
 // spillBuffer captures a streamed response for spilling, up to a
 // bound: overflow keeps streaming but forgets the copy.
 type spillBuffer struct {
@@ -175,41 +188,286 @@ func (t teeWriter) Write(p []byte) (int, error) {
 	return t.w.Write(p)
 }
 
-// storedLine is the minimal decode of one stored /explore NDJSON line
-// needed to re-apply constraints. The fields round-trip exactly: the
-// encoder emits the shortest representation of each float64, and
-// JSONFloat decodes null back to +Inf (the only non-finite these
-// fields produce).
-type storedLine struct {
-	VSafeMS  JSONFloat `json:"v_safe_ms"`
-	PowerW   JSONFloat `json:"power_w"`
-	PayloadG JSONFloat `json:"payload_g"`
-}
-
 // filterStored answers a constrained streaming exploration from its
 // stored unconstrained superset: every stored line that passes the
 // constraints is re-emitted with its original bytes, which keeps the
 // response byte-identical to an engine run (constraints are a pure
 // prune over the same deterministic candidate order). A line that
-// fails to decode aborts the whole attempt (ok=false) — the engine
+// fails to scan aborts the whole attempt (ok=false) — the engine
 // recomputes rather than risk serving a half-understood artifact.
 func filterStored(body []byte, cons dse.Constraints) (out []byte, ok bool) {
-	var buf bytes.Buffer
-	rest := body
-	for len(rest) > 0 {
+	out = make([]byte, 0, len(body))
+	for rest := body; len(rest) > 0; {
 		nl := bytes.IndexByte(rest, '\n')
 		if nl < 0 {
 			return nil, false // stored streams are newline-terminated
 		}
 		line := rest[:nl+1]
 		rest = rest[nl+1:]
-		var l storedLine
-		if err := json.Unmarshal(line, &l); err != nil {
+		vSafe, power, payload, ok := scanStoredLine(line[:nl])
+		if !ok {
 			return nil, false
 		}
-		if cons.AllowsValues(float64(l.PayloadG), float64(l.PowerW), float64(l.VSafeMS)) {
-			buf.Write(line)
+		if cons.AllowsValues(payload, power, vSafe) {
+			out = append(out, line...)
 		}
 	}
-	return buf.Bytes(), true
+	return out, true
+}
+
+// maxStoredDepth bounds how deeply the values of a stored line may
+// nest. The line encoder nests two levels (the metrics array of
+// objects); anything deeper is not its output.
+const maxStoredDepth = 8
+
+// scanStoredLine reads the three values the constraints need — safe
+// velocity, compute power and payload — from one stored /explore line
+// (without its newline), walking the line once instead of decoding it
+// with encoding/json. It accepts only a JSON object written without
+// whitespace whose top-level keys hold nothing but lower-case ASCII
+// letters, digits and '_' (every key lineEncoder.appendLine writes),
+// in which "v_safe_ms", "power_w" and "payload_g" each appear exactly
+// once with a JSON number or null as value. null reads as +Inf, the
+// value JSONFloat decodes it to. The other values are checked against
+// the JSON grammar and skipped.
+//
+// Whatever it accepts, encoding/json accepts too and decodes to the
+// same three values (store_test.go's storedLine is that oracle, and
+// FuzzFilterStored diffs the two): a key is recognized only at a key
+// position of the top-level object, a key cannot be an escaped or
+// case-folded alias of one of the three, and a number is parsed by the
+// same strconv.ParseFloat after a JSON-number syntax check. A missing,
+// repeated or non-numeric value is a rejection, not a guess.
+//
+//reprolint:hotpath
+func scanStoredLine(line []byte) (vSafe, power, payload float64, ok bool) {
+	s := lineScanner{b: line}
+	if !s.lit('{') {
+		return 0, 0, 0, false
+	}
+	var seen uint8
+	for {
+		key, kok := s.key()
+		if !kok {
+			return 0, 0, 0, false
+		}
+		var dst *float64
+		var bit uint8
+		switch string(key) {
+		case "v_safe_ms":
+			dst, bit = &vSafe, 1
+		case "power_w":
+			dst, bit = &power, 2
+		case "payload_g":
+			dst, bit = &payload, 4
+		}
+		if dst == nil {
+			if !s.value(maxStoredDepth) {
+				return 0, 0, 0, false
+			}
+		} else if seen&bit != 0 || !s.float(dst) {
+			return 0, 0, 0, false
+		} else {
+			seen |= bit
+		}
+		if s.lit('}') {
+			break
+		}
+		if !s.lit(',') {
+			return 0, 0, 0, false
+		}
+	}
+	return vSafe, power, payload, seen == 7 && s.i == len(line)
+}
+
+// lineScanner is a cursor over one stored line. Each method consumes
+// one token at the cursor and reports whether it was there; on false
+// the line is rejected, so no method needs to restore the cursor.
+type lineScanner struct {
+	b []byte
+	i int
+}
+
+// lit consumes the byte c.
+func (s *lineScanner) lit(c byte) bool {
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// word consumes the literal w (true, false or null).
+func (s *lineScanner) word(w string) bool {
+	if len(s.b)-s.i >= len(w) && string(s.b[s.i:s.i+len(w)]) == w {
+		s.i += len(w)
+		return true
+	}
+	return false
+}
+
+// key consumes a top-level key and its colon, returning the key's
+// bytes. Only [a-z0-9_]+ is a key here: no escape and no upper-case or
+// non-ASCII letter, so no key can decode or case-fold to another.
+func (s *lineScanner) key() ([]byte, bool) {
+	b, i := s.b, s.i
+	if i >= len(b) || b[i] != '"' {
+		return nil, false
+	}
+	start := i + 1
+	for i = start; i < len(b); i++ {
+		if c := b[i]; !('a' <= c && c <= 'z' || '0' <= c && c <= '9' || c == '_') {
+			break
+		}
+	}
+	if i == start || len(b)-i < 2 || b[i] != '"' || b[i+1] != ':' {
+		return nil, false
+	}
+	s.i = i + 2
+	return b[start:i], true
+}
+
+// float consumes a JSON number or null into *dst.
+func (s *lineScanner) float(dst *float64) bool {
+	if s.word("null") {
+		*dst = math.Inf(1)
+		return true
+	}
+	start := s.i
+	if !s.number() {
+		return false
+	}
+	v, err := strconv.ParseFloat(string(s.b[start:s.i]), 64)
+	if err != nil {
+		return false // out of float64 range, as encoding/json rejects it
+	}
+	*dst = v
+	return true
+}
+
+// number consumes one JSON number:
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. strconv.ParseFloat
+// alone would also take Inf, NaN, hex floats and underscores.
+func (s *lineScanner) number() bool {
+	s.lit('-')
+	if s.lit('0') {
+		// A leading zero stands alone.
+	} else if !s.digits() {
+		return false
+	}
+	if s.lit('.') && !s.digits() {
+		return false
+	}
+	if s.lit('e') || s.lit('E') {
+		if !s.lit('+') {
+			s.lit('-')
+		}
+		if !s.digits() {
+			return false
+		}
+	}
+	return true
+}
+
+// digits consumes one or more decimal digits.
+func (s *lineScanner) digits() bool {
+	start := s.i
+	for s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9' {
+		s.i++
+	}
+	return s.i > start
+}
+
+// str consumes one JSON string: no raw control byte, and only the
+// escapes JSON defines. Other bytes, invalid UTF-8 included, pass, as
+// they do through encoding/json.
+func (s *lineScanner) str() bool {
+	b, i := s.b, s.i
+	if i >= len(b) || b[i] != '"' {
+		return false
+	}
+	for i++; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			s.i = i + 1
+			return true
+		case c < 0x20:
+			return false
+		case c == '\\':
+			if i++; i >= len(b) {
+				return false
+			}
+			switch b[i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if len(b)-i <= 4 || !isHex(b[i+1]) || !isHex(b[i+2]) || !isHex(b[i+3]) || !isHex(b[i+4]) {
+					return false
+				}
+				i += 4
+			default:
+				return false
+			}
+		}
+	}
+	return false
+}
+
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+}
+
+// value consumes one JSON value of at most depth nested levels.
+func (s *lineScanner) value(depth int) bool {
+	if s.i >= len(s.b) {
+		return false
+	}
+	switch s.b[s.i] {
+	case '"':
+		return s.str()
+	case 't':
+		return s.word("true")
+	case 'f':
+		return s.word("false")
+	case 'n':
+		return s.word("null")
+	case '[':
+		s.i++
+		if depth == 0 {
+			return false
+		}
+		if s.lit(']') {
+			return true
+		}
+		for {
+			if !s.value(depth - 1) {
+				return false
+			}
+			if s.lit(']') {
+				return true
+			}
+			if !s.lit(',') {
+				return false
+			}
+		}
+	case '{':
+		s.i++
+		if depth == 0 {
+			return false
+		}
+		if s.lit('}') {
+			return true
+		}
+		for {
+			if !s.str() || !s.lit(':') || !s.value(depth-1) {
+				return false
+			}
+			if s.lit('}') {
+				return true
+			}
+			if !s.lit(',') {
+				return false
+			}
+		}
+	}
+	return s.number()
 }

@@ -11,7 +11,10 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/dse"
@@ -27,6 +30,10 @@ type storedServer struct {
 	srv *httptest.Server
 	s   *Server
 	st  *store.Store
+	// handlers counts requests whose handler has not returned. A
+	// buffered miss flushes its body before it persists the artifact,
+	// so a client can hold the whole response while Put still runs.
+	handlers sync.WaitGroup
 }
 
 func openStoredServer(t *testing.T, dir string) *storedServer {
@@ -35,11 +42,22 @@ func openStoredServer(t *testing.T, dir string) *storedServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServerWith(catalog.Default(), Options{Store: st})
-	srv := httptest.NewServer(s)
-	t.Cleanup(srv.Close)
-	return &storedServer{srv: srv, s: s, st: st}
+	ss := &storedServer{s: NewServerWith(catalog.Default(), Options{Store: st}), st: st}
+	ss.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ss.handlers.Add(1)
+		defer ss.handlers.Done()
+		ss.s.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ss.srv.Close)
+	return ss
 }
+
+// settle waits until every request the server has begun has returned
+// from its handler, so the artifacts of the responses read so far are
+// on disk. (A later request on the same keep-alive connection is read
+// only after the previous handler returns, so fetches in sequence need
+// no settle between them.)
+func (ss *storedServer) settle() { ss.handlers.Wait() }
 
 // forbidEngine arms an error at the engine's plan seam for the rest of
 // the test: any request that would run an exploration or a grid sweep
@@ -105,6 +123,7 @@ func TestStoreRestartServesByteIdentical(t *testing.T) {
 		}
 		cold[p] = body
 	}
+	gen1.settle()
 	if st := gen1.st.Stats(); st.Puts != uint64(len(paths)) {
 		t.Fatalf("store stats after cold pass = %+v; want %d spills", st, len(paths))
 	}
@@ -232,6 +251,7 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 			ss := openStoredServer(t, t.TempDir())
 			path := smallExplore(url.Values{"top": {"3"}})
 			want, _ := fetch(t, ss.srv, path)
+			ss.settle()
 
 			corrupt(t, onlyArtifact(t, ss.st))
 			got, hdr := fetch(t, ss.srv, path)
@@ -479,5 +499,352 @@ func TestFilterStored(t *testing.T) {
 	}
 	if _, ok := filterStored([]byte("{\"name\":\"a\"}"), cons); ok {
 		t.Error("filterStored accepted a body without a trailing newline")
+	}
+}
+
+// storedLine is the encoding/json decode of the three values the
+// constraints read from a stored /explore line: the oracle the
+// scanner behind filterStored is diffed against. JSONFloat decodes
+// null back to +Inf.
+type storedLine struct {
+	VSafeMS  JSONFloat `json:"v_safe_ms"`
+	PowerW   JSONFloat `json:"power_w"`
+	PayloadG JSONFloat `json:"payload_g"`
+}
+
+// oracleFilterStored is filterStored over encoding/json: each line
+// decoded into a storedLine, any decode error rejecting the body.
+func oracleFilterStored(body []byte, cons dse.Constraints) ([]byte, bool) {
+	var out []byte
+	for rest := body; len(rest) > 0; {
+		nl := bytes.IndexByte(rest, '\n')
+		if nl < 0 {
+			return nil, false
+		}
+		line := rest[:nl+1]
+		rest = rest[nl+1:]
+		var l storedLine
+		if err := json.Unmarshal(line, &l); err != nil {
+			return nil, false
+		}
+		if cons.AllowsValues(float64(l.PayloadG), float64(l.PowerW), float64(l.VSafeMS)) {
+			out = append(out, line...)
+		}
+	}
+	return out, true
+}
+
+// requireScanMatchesOracle diffs the scanner against encoding/json on
+// every newline-terminated line of body: a line the scanner accepts,
+// the oracle must accept and decode to the same three values. When
+// encoded is set, body is line-encoder output, which both must accept.
+func requireScanMatchesOracle(t *testing.T, body []byte, encoded bool) {
+	t.Helper()
+	for _, line := range bytes.SplitAfter(body, []byte("\n")) {
+		if len(line) == 0 || line[len(line)-1] != '\n' {
+			continue
+		}
+		v, p, g, ok := scanStoredLine(line[:len(line)-1])
+		var l storedLine
+		err := json.Unmarshal(line, &l)
+		switch {
+		case encoded && err != nil:
+			t.Fatalf("encoding/json rejects line-encoder output %q: %v", line, err)
+		case encoded && !ok:
+			t.Fatalf("scanStoredLine rejects line-encoder output %q", line)
+		case ok && err != nil:
+			t.Fatalf("scanStoredLine accepts %q, which encoding/json rejects: %v", line, err)
+		case !ok:
+			continue
+		}
+		for _, pair := range [][2]float64{{v, float64(l.VSafeMS)}, {p, float64(l.PowerW)}, {g, float64(l.PayloadG)}} {
+			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+				t.Fatalf("line %q: scanned %v, encoding/json decodes %v", line, pair[0], pair[1])
+			}
+		}
+	}
+}
+
+// requireFilterMatchesOracle diffs filterStored against the oracle on
+// body: whatever the scanner accepts, the oracle accepts too and keeps
+// the same lines. When encoded is set, both must accept body.
+func requireFilterMatchesOracle(t *testing.T, body []byte, cons dse.Constraints, encoded bool) {
+	t.Helper()
+	got, ok := filterStored(body, cons)
+	want, wok := oracleFilterStored(body, cons)
+	switch {
+	case encoded && (!ok || !wok):
+		t.Fatalf("line-encoder output rejected: filterStored ok=%v, encoding/json ok=%v", ok, wok)
+	case ok && !wok:
+		t.Fatalf("filterStored accepts a body encoding/json rejects: %q", body)
+	case ok && !bytes.Equal(got, want):
+		t.Fatalf("filterStored under %+v kept\n%s\nencoding/json keeps\n%s", cons, got, want)
+	}
+}
+
+// encodeSlate is a stored superset: every candidate's line, in order,
+// from one lineEncoder.
+func encodeSlate(cs *compiledSpace, objName string, cols []dse.ObjectiveColumn, cands []dse.Candidate) []byte {
+	enc := lineEncoder{space: cs, objName: objName, cols: cols}
+	var body []byte
+	for i := range cands {
+		body = enc.appendLine(body, &cands[i])
+	}
+	return body
+}
+
+// TestFilterStoredMatchesOracle diffs the scanner against encoding/json
+// over whole encoded supersets of the default, algorithm-heavy and
+// hostile-name catalogs, plain and with metric columns, under
+// constraints that keep all, some and none of the lines.
+func TestFilterStoredMatchesOracle(t *testing.T) {
+	conses := []dse.Constraints{
+		{},
+		{MinVelocity: units.MetersPerSecond(2.5)},
+		{MaxPower: units.Watts(10)},
+		{MaxPayload: units.Grams(150)},
+		{MaxPayload: units.Grams(300), MaxPower: units.Watts(12), MinVelocity: units.MetersPerSecond(1.5)},
+		{MinVelocity: units.MetersPerSecond(1e4)},
+	}
+	for _, tc := range encoderCases() {
+		cs := mustCompileSpace(t, tc.cat, tc.space)
+		for _, objName := range []string{"", "mission.thermal"} {
+			var ev dse.Evaluator
+			if objName != "" {
+				var err error
+				if ev, err = dse.NewObjective(objName, tc.cat, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cands, err := dse.Explorer{Catalog: tc.cat, Space: tc.space, Workers: 1, Objective: ev}.Enumerate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := encodeSlate(cs, objName, columnsOf(ev), cands)
+			requireScanMatchesOracle(t, body, true)
+			for _, cons := range conses {
+				requireFilterMatchesOracle(t, body, cons, true)
+			}
+		}
+	}
+}
+
+// TestScanStoredLineRejects: lines the scanner must refuse, so the
+// request recomputes. Each one is a near miss of a valid line.
+func TestScanStoredLineRejects(t *testing.T) {
+	const ok = `{"name":"a","v_safe_ms":2.5,"power_w":10,"payload_g":100}`
+	if _, _, _, accepted := scanStoredLine([]byte(ok)); !accepted {
+		t.Fatalf("scanStoredLine rejects %s", ok)
+	}
+	for _, line := range []string{
+		``,
+		`{}`,
+		`{"name":"a","v_safe_ms":2.5,"power_w":10}`,                                    // payload missing
+		`{"name":"a","v_safe_ms":2.5,"power_w":10,"payload_g":100,"power_w":1}`,        // repeated key
+		`{"name":"a","v_safe_ms":2.5,"power_w":10,"payload_g":100} `,                   // trailing byte
+		`{"name":"a","v_safe_ms":2.5,"power_w":10,"payload_g":100`,                     // unterminated
+		`{"name":"a", "v_safe_ms":2.5,"power_w":10,"payload_g":100}`,                   // whitespace
+		`{"name":"a","v_safe_ms":Inf,"power_w":10,"payload_g":100}`,                    // ParseFloat-only spellings
+		`{"name":"a","v_safe_ms":NaN,"power_w":10,"payload_g":100}`,                    //
+		`{"name":"a","v_safe_ms":0x1p-2,"power_w":10,"payload_g":100}`,                 //
+		`{"name":"a","v_safe_ms":1_0,"power_w":10,"payload_g":100}`,                    //
+		`{"name":"a","v_safe_ms":+1,"power_w":10,"payload_g":100}`,                     //
+		`{"name":"a","v_safe_ms":01,"power_w":10,"payload_g":100}`,                     //
+		`{"name":"a","v_safe_ms":1.,"power_w":10,"payload_g":100}`,                     //
+		`{"name":"a","v_safe_ms":.5,"power_w":10,"payload_g":100}`,                     //
+		`{"name":"a","v_safe_ms":1e,"power_w":10,"payload_g":100}`,                     //
+		`{"name":"a","v_safe_ms":1e400,"power_w":10,"payload_g":100}`,                  // out of range
+		`{"name":"a","v_safe_ms":"2.5","power_w":10,"payload_g":100}`,                  // string value
+		`{"name":"a","v_safe_ms":true,"power_w":10,"payload_g":100}`,                   //
+		`{"name":"a","V_SAFE_MS":1,"v_safe_ms":2.5,"power_w":10,"payload_g":100}`,      // case-folded alias
+		`{"name":"a","v\u005fsafe_ms":1,"v_safe_ms":2.5,"power_w":10,"payload_g":100}`, // escaped alias
+		`{"name":"a\x01","v_safe_ms":2.5,"power_w":10,"payload_g":100}`,                // raw control byte
+		`{"name":"a\q","v_safe_ms":2.5,"power_w":10,"payload_g":100}`,                  // bad escape
+		`{"name":"\u12","v_safe_ms":2.5,"power_w":10,"payload_g":100}`,                 // short \u
+		`x,"v_safe_ms":2.5,"power_w":10,"payload_g":100}`,                              // not an object
+		`{"name":"a,\"v_safe_ms\":2.5,\"power_w\":10,\"payload_g\":100}`,               // keys inside a string
+		`{"m":[[[[[[[[[1]]]]]]]]],"v_safe_ms":2.5,"power_w":10,"payload_g":100}`,       // nested too deep
+	} {
+		if _, _, _, accepted := scanStoredLine([]byte(line)); accepted {
+			t.Errorf("scanStoredLine accepts %s", line)
+		}
+	}
+}
+
+// filterCase is one encoded superset FuzzFilterStored draws from: a
+// compiled space and its slate, plain or with metric columns.
+type filterCase struct {
+	cs      *compiledSpace
+	objName string
+	cols    []dse.ObjectiveColumn
+	cands   []dse.Candidate
+}
+
+var filterCases struct {
+	sync.Mutex
+	m map[uint8]*filterCase
+}
+
+// filterCaseFor builds, once, the case the fuzz byte shape names: bits
+// 0-5 pick a catalog.Synthetic space of 1-4 UAVs, computes and
+// algorithms, bit 6 picks hostileCatalog with its sensor axis instead,
+// and bit 7 attaches mission.thermal, whose metric columns add a
+// nested array to every line.
+func filterCaseFor(t *testing.T, shape uint8) *filterCase {
+	if shape&0x40 != 0 {
+		shape &= 0xc0
+	}
+	filterCases.Lock()
+	defer filterCases.Unlock()
+	if tc := filterCases.m[shape]; tc != nil {
+		return tc
+	}
+	var cat *catalog.Catalog
+	var space dse.Space
+	if shape&0x40 != 0 {
+		cat = hostileCatalog()
+		space = defaultSpace(cat)
+		space.Sensors = append([]string{""}, cat.SensorNames()...)
+	} else {
+		cat = catalog.Synthetic(1+int(shape&3), 1+int(shape>>2&3), 1+int(shape>>4&3))
+		space = defaultSpace(cat)
+	}
+	tc := &filterCase{cs: mustCompileSpace(t, cat, space)}
+	var ev dse.Evaluator
+	if shape&0x80 != 0 {
+		var err error
+		if ev, err = dse.NewObjective("mission.thermal", cat, 1); err != nil {
+			t.Fatal(err)
+		}
+		tc.objName, tc.cols = "mission.thermal", ev.Columns()
+	}
+	var err error
+	if tc.cands, err = (dse.Explorer{Catalog: cat, Space: space, Workers: 1, Objective: ev}).Enumerate(); err != nil {
+		t.Fatal(err)
+	}
+	if filterCases.m == nil {
+		filterCases.m = make(map[uint8]*filterCase)
+	}
+	filterCases.m[shape] = tc
+	return tc
+}
+
+// FuzzFilterStored diffs the stored-line scanner against the
+// encoding/json oracle. The encoded half encodes up to eight
+// consecutive candidates of a fuzz-drawn catalog.Synthetic or
+// hostile-name slate, the first with its safe velocity, power and
+// payload replaced by fuzz-drawn values (±Inf and NaN encode as
+// null), and filters them under fuzz-drawn constraints: scanner and
+// oracle must both accept it and keep the same lines. The raw half
+// filters arbitrary bytes: the scanner must not panic, and must not
+// accept what the oracle rejects. The seed corpus is in testdata/fuzz.
+func FuzzFilterStored(f *testing.F) {
+	f.Fuzz(func(t *testing.T, shape uint8, pick uint16, vSafe, power, payload, maxPayload, maxPower, minVelocity float64, raw []byte) {
+		cons := dse.Constraints{
+			MaxPayload:  units.Grams(maxPayload),
+			MaxPower:    units.Watts(maxPower),
+			MinVelocity: units.MetersPerSecond(minVelocity),
+		}
+		tc := filterCaseFor(t, shape)
+		start := int(pick) % len(tc.cands)
+		cands := slices.Clone(tc.cands[start:min(start+8, len(tc.cands))])
+		c := &cands[0]
+		c.Analysis.SafeVelocity = units.MetersPerSecond(vSafe)
+		c.Power = units.Watts(power)
+		c.Analysis.Config.Payload = units.Grams(payload)
+		body := encodeSlate(tc.cs, tc.objName, tc.cols, cands)
+		requireScanMatchesOracle(t, body, true)
+		requireFilterMatchesOracle(t, body, cons, true)
+		requireScanMatchesOracle(t, raw, false)
+		requireFilterMatchesOracle(t, raw, cons, false)
+	})
+}
+
+// TestBufferedMissRespondsBeforePersist: a buffered store miss — a
+// top-K /explore or a /grid.svg — hands the client its whole body
+// before Put writes and fsyncs the artifact, and Put still completes
+// inside the handler. A latency armed at the store.write seam stands
+// in for a slow fsync.
+func TestBufferedMissRespondsBeforePersist(t *testing.T) {
+	const fsync = 300 * time.Millisecond
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServerWith(catalog.Default(), Options{Store: st})
+	returned := make(chan time.Time, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.ServeHTTP(w, r)
+		returned <- time.Now()
+	}))
+	defer srv.Close()
+	for _, path := range []string{
+		smallExplore(url.Values{"top": {"3"}}),
+		"/grid.svg?x=payload&y=range&xlo=0&xhi=400&ylo=4&yhi=20&nx=5&ny=4",
+	} {
+		disarm := faultinject.Enable(faultinject.SiteStoreWrite, faultinject.Fault{Latency: fsync, Times: 1})
+		cold, hdr := fetch(t, srv, path)
+		bodyAt := time.Now()
+		end := <-returned
+		disarm()
+		if hdr != "" {
+			t.Fatalf("cold GET %s served from the store (%q)", path, hdr)
+		}
+		if lead := end.Sub(bodyAt); lead < fsync/2 {
+			t.Errorf("GET %s: the client had its body %v before the handler returned, want at least %v: the response waited for Put", path, lead, fsync/2)
+		}
+		warm, hdr := fetch(t, srv, path)
+		<-returned
+		if hdr != "hit" {
+			t.Errorf("repeat GET %s: X-Explore-Store = %q, want \"hit\"", path, hdr)
+		}
+		if !bytes.Equal(warm, cold) {
+			t.Errorf("repeat GET %s: stored body differs from the response (%d vs %d bytes)", path, len(warm), len(cold))
+		}
+	}
+}
+
+// BenchmarkExploreFiltered measures a constrained /explore answered
+// from the store: a one-UAV superset of catalog.SyntheticAlgoHeavy(8,
+// 16, 16) (256 lines, the perfbench interactive-mix shape) filtered at
+// min_velocity_ms=2.5. The timed loop discards the body, so the row
+// prices the server, not the client's buffering.
+func BenchmarkExploreFiltered(b *testing.B) {
+	st, err := store.Open(b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cat := catalog.SyntheticAlgoHeavy(8, 16, 16)
+	srv := httptest.NewServer(NewServerWith(cat, Options{Store: st}))
+	defer srv.Close()
+	client := srv.Client()
+	get := func(q url.Values, body io.Writer) {
+		resp, err := client.Get(srv.URL + "/explore?" + q.Encode())
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = io.Copy(body, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d, err %v", resp.StatusCode, err)
+		}
+		if q.Has("min_velocity_ms") && resp.Header.Get("X-Explore-Store") != "filtered" {
+			b.Fatalf("X-Explore-Store = %q, want \"filtered\"", resp.Header.Get("X-Explore-Store"))
+		}
+	}
+	uav := cat.UAVNames()[0]
+	var superset, filtered bytes.Buffer
+	get(url.Values{"uav": {uav}}, &superset)
+	if n := bytes.Count(superset.Bytes(), []byte("\n")); n != 256 {
+		b.Fatalf("superset has %d lines, want 256", n)
+	}
+	q := url.Values{"uav": {uav}, "min_velocity_ms": {"2.5"}}
+	get(q, &filtered)
+	if filtered.Len() == 0 || filtered.Len() == superset.Len() {
+		b.Fatalf("min_velocity_ms=2.5 keeps %d of %d bytes; want a proper slice", filtered.Len(), superset.Len())
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		get(q, io.Discard)
 	}
 }
