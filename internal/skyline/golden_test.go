@@ -154,6 +154,32 @@ func goldenURLs() []string {
 		[]string{"max_power_w", "5"},
 		[]string{"max_payload_g", "60"},
 		[]string{"min_velocity_ms", "1000"})
+
+	// Engine-rendered figures. /grid.svg: the default 40×30 shape,
+	// plain and under a mission objective; a compute axis spanning
+	// nine decades, whose tick labels take the e-notation branch of
+	// formatTick (heatmap cells sit on a uniform index grid, so this is
+	// the grid's log-scale case); and the hostile-name catalog, whose
+	// names reach the title. /sweep.svg: one request per knob, plus a
+	// log-spaced compute sweep on a log x axis.
+	grid := func(kv ...string) string {
+		return goldenQuery(append([]string{"uav", catalog.UAVAscTecPelican, "compute", catalog.ComputeTX2,
+			"algorithm", catalog.AlgoDroNet}, kv...)...)
+	}
+	urls = append(urls,
+		"http://default/grid.svg?"+grid("x", "payload", "xlo", "0", "xhi", "300", "y", "range", "ylo", "4", "yhi", "20"),
+		"http://default/grid.svg?"+grid("x", "payload", "xlo", "0", "xhi", "300", "y", "compute", "ylo", "1", "yhi", "120",
+			"objective", "mission.endurance"),
+		"http://default/grid.svg?"+grid("x", "compute", "xlo", "0.0005", "xhi", "5e6", "y", "sensor", "ylo", "1", "yhi", "200",
+			"nx", "24", "ny", "12"),
+		"http://hostile/grid.svg?"+goldenQuery("uav", hostileUAVs[0], "compute", hostileComputes[0], "algorithm", hostileAlgorithms[0],
+			"x", "payload", "xlo", "0", "xhi", "300", "y", "range", "ylo", "4", "yhi", "20", "nx", "16", "ny", "12"),
+		"http://default/sweep.svg?"+grid("knob", "payload", "lo", "0", "hi", "400"),
+		"http://default/sweep.svg?"+grid("knob", "range", "lo", "1", "hi", "30"),
+		"http://default/sweep.svg?"+grid("knob", "sensor", "lo", "1", "hi", "120"),
+		"http://default/sweep.svg?"+grid("knob", "compute", "lo", "1", "hi", "200"),
+		"http://default/sweep.svg?"+grid("knob", "compute", "lo", "1", "hi", "200", "n", "200", "log", "true"),
+	)
 	return urls
 }
 
