@@ -26,8 +26,8 @@ func (c *Chart) ASCII(cols, rows int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sx := scale{min: xmin, max: xmax, log: c.LogX}
-	sy := scale{min: ymin, max: ymax, log: c.LogY}
+	sx := newScale(xmin, xmax, c.LogX)
+	sy := newScale(ymin, ymax, c.LogY)
 
 	grid := make([][]byte, rows)
 	for i := range grid {

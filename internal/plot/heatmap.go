@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -74,10 +75,11 @@ var rampStops = [][3]float64{
 	{0xfd, 0xe7, 0x25}, // yellow
 }
 
-// rampColor maps t ∈ [0,1] onto the stop gradient.
-func rampColor(t float64) string {
+// appendRampColor appends the stop-gradient colour of t ∈ [0,1] as
+// #rrggbb (t is clamped; NaN is white).
+func appendRampColor(dst []byte, t float64) []byte {
 	if math.IsNaN(t) {
-		return "#ffffff"
+		return append(dst, "#ffffff"...)
 	}
 	t = math.Max(0, math.Min(1, t))
 	seg := t * float64(len(rampStops)-1)
@@ -87,41 +89,43 @@ func rampColor(t float64) string {
 	}
 	f := seg - float64(i)
 	a, b := rampStops[i], rampStops[i+1]
-	return fmt.Sprintf("#%02x%02x%02x",
-		int(a[0]+(b[0]-a[0])*f+0.5),
-		int(a[1]+(b[1]-a[1])*f+0.5),
-		int(a[2]+(b[2]-a[2])*f+0.5))
+	dst = append(dst, '#')
+	dst = appendHexByte(dst, int(a[0]+(b[0]-a[0])*f+0.5))
+	dst = appendHexByte(dst, int(a[1]+(b[1]-a[1])*f+0.5))
+	return appendHexByte(dst, int(a[2]+(b[2]-a[2])*f+0.5))
 }
 
-// axisTickIndexes picks up to target well-spread sample indexes for
-// labeling, always including the first and last.
-func axisTickIndexes(n, target int) []int {
-	if target < 2 {
-		target = 2
-	}
+// axisTickIndexes appends up to 6 well-spread sample indexes of an
+// axis of n samples to dst for labeling, always including the first
+// and last.
+func axisTickIndexes(dst []int, n int) []int {
+	const target = 6
 	if n <= target {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
+		for i := 0; i < n; i++ {
+			dst = append(dst, i)
 		}
-		return out
+		return dst
 	}
-	out := make([]int, 0, target)
 	for i := 0; i < target; i++ {
-		out = append(out, i*(n-1)/(target-1))
+		dst = append(dst, i*(n-1)/(target-1))
 	}
-	return out
+	return dst
 }
 
 // SVG renders the heatmap as a standalone SVG document with a color
 // bar on the right.
-func (h *Heatmap) SVG(w io.Writer) error {
+func (h *Heatmap) SVG(w io.Writer) error { return writeSVG(w, h) }
+
+// AppendSVG appends the heatmap as a standalone SVG document with a
+// color bar on the right to dst. It appends nothing when it returns an
+// error.
+func (h *Heatmap) AppendSVG(dst []byte) ([]byte, error) {
 	if err := h.Validate(); err != nil {
-		return err
+		return dst, err
 	}
 	zmin, zmax, ok := h.zRange()
 	if !ok {
-		return fmt.Errorf("plot: heatmap %q has no finite values", h.Title)
+		return dst, fmt.Errorf("plot: heatmap %q has no finite values", h.Title)
 	}
 	width, height := h.Width, h.Height
 	if width == 0 {
@@ -130,26 +134,21 @@ func (h *Heatmap) SVG(w io.Writer) error {
 	if height == 0 {
 		height = 440
 	}
-	const (
-		marginL = 64
-		marginR = 86 // room for the color bar
-		marginT = 36
-		marginB = 48
-	)
+	const marginR = 86 // room for the color bar
 	nx, ny := len(h.Xs), len(h.Ys)
 	plotW := float64(width - marginL - marginR)
 	plotH := float64(height - marginT - marginB)
 	cellW := plotW / float64(nx)
 	cellH := plotH / float64(ny)
+	const barSteps = 32
 
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n",
-		width, height, width, height)
-	b.WriteString(`<rect width="100%" height="100%" fill="white"/>` + "\n")
-	if h.Title != "" {
-		fmt.Fprintf(&b, `<text x="%d" y="22" font-family="sans-serif" font-size="15" font-weight="bold">%s</text>`+"\n",
-			marginL, escape(h.Title))
-	}
+	// Size the document from its element counts: ~80 bytes per cell
+	// and color-bar step, a few hundred per other element, plus text.
+	size := 2048 + 80*(nx*ny+barSteps) +
+		2*(len(h.Title)+len(h.XLabel)+len(h.YLabel)+len(h.ZLabel))
+	b := slices.Grow(dst, size)
+
+	b = appendHeader(b, width, height, h.Title)
 
 	// Cells: row 0 (lowest y value) sits at the bottom.
 	for yi, row := range h.Values {
@@ -160,64 +159,74 @@ func (h *Heatmap) SVG(w io.Writer) error {
 			}
 			t := (v - zmin) / (zmax - zmin)
 			// +0.5 overlap hides hairline seams between cells.
-			fmt.Fprintf(&b, `<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="%s"/>`+"\n",
-				float64(marginL)+float64(xi)*cellW, y, cellW+0.5, cellH+0.5, rampColor(t))
+			b = append(b, "<rect"...)
+			b = attrF(b, "x", float64(marginL)+float64(xi)*cellW, 2)
+			b = attrF(b, "y", y, 2)
+			b = attrF(b, "width", cellW+0.5, 2)
+			b = attrF(b, "height", cellH+0.5, 2)
+			b = appendFill(b, t)
 		}
 	}
 
 	// Axes and tick labels (cell-center positions on the index grid).
-	fmt.Fprintf(&b, `<line x1="%d" y1="%.1f" x2="%.1f" y2="%.1f" stroke="black" stroke-width="1.5"/>`+"\n",
-		marginL, float64(marginT)+plotH, float64(marginL)+plotW, float64(marginT)+plotH)
-	fmt.Fprintf(&b, `<line x1="%d" y1="%d" x2="%d" y2="%.1f" stroke="black" stroke-width="1.5"/>`+"\n",
-		marginL, marginT, marginL, float64(marginT)+plotH)
-	for _, xi := range axisTickIndexes(nx, 6) {
-		x := float64(marginL) + (float64(xi)+0.5)*cellW
-		fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-family="sans-serif" font-size="11" text-anchor="middle">%s</text>`+"\n",
-			x, float64(marginT)+plotH+16, escape(formatTick(h.Xs[xi])))
+	b = appendAxisLines(b, plotW, plotH)
+	var idx [6]int
+	for _, xi := range axisTickIndexes(idx[:0], nx) {
+		b = appendXTick(b, float64(marginL)+(float64(xi)+0.5)*cellW, plotH, h.Xs[xi])
 	}
-	for _, yi := range axisTickIndexes(ny, 6) {
-		y := float64(marginT) + plotH - (float64(yi)+0.5)*cellH
-		fmt.Fprintf(&b, `<text x="%d" y="%.1f" font-family="sans-serif" font-size="11" text-anchor="end">%s</text>`+"\n",
-			marginL-6, y+4, escape(formatTick(h.Ys[yi])))
+	for _, yi := range axisTickIndexes(idx[:0], ny) {
+		b = appendYTick(b, float64(marginT)+plotH-(float64(yi)+0.5)*cellH, h.Ys[yi])
 	}
-	if h.XLabel != "" {
-		fmt.Fprintf(&b, `<text x="%.1f" y="%d" font-family="sans-serif" font-size="12" text-anchor="middle">%s</text>`+"\n",
-			float64(marginL)+plotW/2, height-10, escape(h.XLabel))
-	}
-	if h.YLabel != "" {
-		fmt.Fprintf(&b, `<text x="14" y="%.1f" font-family="sans-serif" font-size="12" text-anchor="middle" transform="rotate(-90 14 %.1f)">%s</text>`+"\n",
-			float64(marginT)+plotH/2, float64(marginT)+plotH/2, escape(h.YLabel))
-	}
+	b = appendAxisLabels(b, plotW, plotH, height, h.XLabel, h.YLabel)
 
 	// Color bar: a vertical gradient strip with min/mid/max labels.
-	const barSteps = 32
 	barX := float64(width - marginR + 18)
 	barW := 14.0
 	stepH := plotH / barSteps
 	for i := 0; i < barSteps; i++ {
 		t := (float64(i) + 0.5) / barSteps
 		y := float64(marginT) + plotH - float64(i+1)*stepH
-		fmt.Fprintf(&b, `<rect x="%.1f" y="%.2f" width="%.1f" height="%.2f" fill="%s"/>`+"\n",
-			barX, y, barW, stepH+0.5, rampColor(t))
+		b = append(b, "<rect"...)
+		b = attrF(b, "x", barX, 1)
+		b = attrF(b, "y", y, 2)
+		b = attrF(b, "width", barW, 1)
+		b = attrF(b, "height", stepH+0.5, 2)
+		b = appendFill(b, t)
 	}
-	fmt.Fprintf(&b, `<rect x="%.1f" y="%d" width="%.1f" height="%.1f" fill="none" stroke="black" stroke-width="0.5"/>`+"\n",
-		barX, marginT, barW, plotH)
-	for _, tick := range []struct {
+	b = append(b, "<rect"...)
+	b = attrF(b, "x", barX, 1)
+	b = attrD(b, "y", marginT)
+	b = attrF(b, "width", barW, 1)
+	b = attrF(b, "height", plotH, 1)
+	b = append(b, ` fill="none" stroke="black" stroke-width="0.5"/>`+"\n"...)
+	for _, tick := range [...]struct {
 		t float64
 		v float64
 	}{{0, zmin}, {0.5, (zmin + zmax) / 2}, {1, zmax}} {
 		y := float64(marginT) + plotH - tick.t*plotH
-		fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-family="sans-serif" font-size="10">%s</text>`+"\n",
-			barX+barW+4, y+3, escape(formatTick(tick.v)))
+		b = append(b, "<text"...)
+		b = attrF(b, "x", barX+barW+4, 1)
+		b = attrF(b, "y", y+3, 1)
+		b = append(b, ` font-family="sans-serif" font-size="10">`...)
+		b = appendTick(b, tick.v)
+		b = append(b, "</text>\n"...)
 	}
 	if h.ZLabel != "" {
-		fmt.Fprintf(&b, `<text x="%.1f" y="%d" font-family="sans-serif" font-size="11" text-anchor="middle">%s</text>`+"\n",
-			barX+barW/2, marginT-8, escape(h.ZLabel))
+		b = append(b, "<text"...)
+		b = attrF(b, "x", barX+barW/2, 1)
+		b = attrD(b, "y", marginT-8)
+		b = append(b, ` font-family="sans-serif" font-size="11" text-anchor="middle">`...)
+		b = appendTextEnd(b, h.ZLabel)
 	}
 
-	b.WriteString("</svg>\n")
-	_, err := io.WriteString(w, b.String())
-	return err
+	return append(b, "</svg>\n"...), nil
+}
+
+// appendFill closes a <rect> with the ramp colour of t.
+func appendFill(dst []byte, t float64) []byte {
+	dst = append(dst, ` fill="`...)
+	dst = appendRampColor(dst, t)
+	return append(dst, "\"/>\n"...)
 }
 
 // asciiRamp shades ASCII cells from low to high.

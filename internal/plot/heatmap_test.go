@@ -169,6 +169,8 @@ func TestHeatmapASCIIMinCellIsNotBlank(t *testing.T) {
 	}
 }
 
+func rampColor(t float64) string { return string(appendRampColor(nil, t)) }
+
 func TestRampColorMonotoneEndpoints(t *testing.T) {
 	if rampColor(0) != "#440154" {
 		t.Errorf("ramp(0) = %s", rampColor(0))
@@ -182,5 +184,12 @@ func TestRampColorMonotoneEndpoints(t *testing.T) {
 	}
 	if rampColor(math.NaN()) != "#ffffff" {
 		t.Error("NaN not white")
+	}
+	// Every channel value the ramp reaches matches the fmt-based %02x.
+	for i := -10; i <= 1010; i++ {
+		v := float64(i) / 1000
+		if got, want := rampColor(v), oracleRampColor(v); got != want {
+			t.Fatalf("ramp(%v) = %s, want %s", v, got, want)
+		}
 	}
 }

@@ -108,9 +108,20 @@ func (c *Chart) bounds() (xmin, xmax, ymin, ymax float64, err error) {
 }
 
 // scale maps a data coordinate into [0,1] under the axis transform.
+// A log scale keeps log10 of its bounds, so norm takes one logarithm
+// per point.
 type scale struct {
-	min, max float64
-	log      bool
+	min, max   float64
+	log        bool
+	lmin, lmax float64
+}
+
+func newScale(min, max float64, log bool) scale {
+	s := scale{min: min, max: max, log: log}
+	if log {
+		s.lmin, s.lmax = math.Log10(min), math.Log10(max)
+	}
+	return s
 }
 
 func (s scale) norm(v float64) float64 {
@@ -118,7 +129,7 @@ func (s scale) norm(v float64) float64 {
 		if v <= 0 {
 			return 0
 		}
-		return (math.Log10(v) - math.Log10(s.min)) / (math.Log10(s.max) - math.Log10(s.min))
+		return (math.Log10(v) - s.lmin) / (s.lmax - s.lmin)
 	}
 	return (v - s.min) / (s.max - s.min)
 }
@@ -193,26 +204,5 @@ func sortFloats(v []float64) {
 		for j := i; j > 0 && v[j] < v[j-1]; j-- {
 			v[j], v[j-1] = v[j-1], v[j]
 		}
-	}
-}
-
-// formatTick renders a tick label compactly.
-func formatTick(v float64) string {
-	av := math.Abs(v)
-	switch {
-	case v == 0:
-		return "0"
-	case av >= 1e6 || av < 1e-3:
-		return fmt.Sprintf("%.0e", v)
-	case av >= 100:
-		return fmt.Sprintf("%.0f", v)
-	case av >= 1:
-		s := fmt.Sprintf("%.1f", v)
-		if s[len(s)-1] == '0' {
-			return fmt.Sprintf("%.0f", v)
-		}
-		return s
-	default:
-		return fmt.Sprintf("%.2g", v)
 	}
 }

@@ -1,9 +1,9 @@
 package plot
 
 import (
-	"fmt"
 	"io"
-	"strings"
+	"slices"
+	"strconv"
 )
 
 // palette cycles through distinguishable series colors.
@@ -12,14 +12,26 @@ var palette = []string{
 	"#8c564b", "#17becf", "#7f7f7f",
 }
 
+// Margins shared by the chart and the heatmap; the right margin
+// differs (the heatmap keeps room for its color bar).
+const (
+	marginL = 64
+	marginT = 36
+	marginB = 48
+)
+
 // SVG renders the chart as a standalone SVG document.
-func (c *Chart) SVG(w io.Writer) error {
+func (c *Chart) SVG(w io.Writer) error { return writeSVG(w, c) }
+
+// AppendSVG appends the chart as a standalone SVG document to dst. It
+// appends nothing when it returns an error.
+func (c *Chart) AppendSVG(dst []byte) ([]byte, error) {
 	if err := c.Validate(); err != nil {
-		return err
+		return dst, err
 	}
 	xmin, xmax, ymin, ymax, err := c.bounds()
 	if err != nil {
-		return err
+		return dst, err
 	}
 	width, height := c.Width, c.Height
 	if width == 0 {
@@ -28,94 +40,113 @@ func (c *Chart) SVG(w io.Writer) error {
 	if height == 0 {
 		height = 440
 	}
-	const (
-		marginL = 64
-		marginR = 16
-		marginT = 36
-		marginB = 48
-	)
+	const marginR = 16
 	plotW := float64(width - marginL - marginR)
 	plotH := float64(height - marginT - marginB)
-	sx := scale{min: xmin, max: xmax, log: c.LogX}
-	sy := scale{min: ymin, max: ymax, log: c.LogY}
+	sx := newScale(xmin, xmax, c.LogX)
+	sy := newScale(ymin, ymax, c.LogY)
 	px := func(x float64) float64 { return marginL + sx.norm(x)*plotW }
 	py := func(y float64) float64 { return float64(marginT) + (1-sy.norm(y))*plotH }
+	xticks, yticks := sx.ticks(6), sy.ticks(6)
 
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n",
-		width, height, width, height)
-	b.WriteString(`<rect width="100%" height="100%" fill="white"/>` + "\n")
-	if c.Title != "" {
-		fmt.Fprintf(&b, `<text x="%d" y="22" font-family="sans-serif" font-size="15" font-weight="bold">%s</text>`+"\n",
-			marginL, escape(c.Title))
+	// Size the document from its element counts: ~12 bytes per
+	// polyline point, a few hundred per other element, plus its text.
+	size := 1024 + 256*(len(xticks)+len(yticks)+len(c.Series)+len(c.Markers)+len(c.Ceilings)) +
+		2*(len(c.Title)+len(c.XLabel)+len(c.YLabel))
+	for _, s := range c.Series {
+		size += 12*len(s.X) + 2*len(s.Name)
 	}
+	for _, m := range c.Markers {
+		size += 2 * len(m.Label)
+	}
+	for _, cl := range c.Ceilings {
+		size += 2 * len(cl.Label)
+	}
+	b := slices.Grow(dst, size)
+
+	b = appendHeader(b, width, height, c.Title)
 
 	// Grid and ticks.
-	for _, t := range sx.ticks(6) {
+	for _, t := range xticks {
 		x := px(t)
-		fmt.Fprintf(&b, `<line x1="%.1f" y1="%d" x2="%.1f" y2="%.1f" stroke="#e0e0e0" stroke-width="1"/>`+"\n",
-			x, marginT, x, float64(marginT)+plotH)
-		fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-family="sans-serif" font-size="11" text-anchor="middle">%s</text>`+"\n",
-			x, float64(marginT)+plotH+16, escape(formatTick(t)))
+		b = append(b, "<line"...)
+		b = attrF(b, "x1", x, 1)
+		b = attrD(b, "y1", marginT)
+		b = attrF(b, "x2", x, 1)
+		b = attrF(b, "y2", float64(marginT)+plotH, 1)
+		b = append(b, ` stroke="#e0e0e0" stroke-width="1"/>`+"\n"...)
+		b = appendXTick(b, x, plotH, t)
 	}
-	for _, t := range sy.ticks(6) {
+	for _, t := range yticks {
 		y := py(t)
-		fmt.Fprintf(&b, `<line x1="%d" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#e0e0e0" stroke-width="1"/>`+"\n",
-			marginL, y, float64(marginL)+plotW, y)
-		fmt.Fprintf(&b, `<text x="%d" y="%.1f" font-family="sans-serif" font-size="11" text-anchor="end">%s</text>`+"\n",
-			marginL-6, y+4, escape(formatTick(t)))
+		b = append(b, "<line"...)
+		b = attrD(b, "x1", marginL)
+		b = attrF(b, "y1", y, 1)
+		b = attrF(b, "x2", float64(marginL)+plotW, 1)
+		b = attrF(b, "y2", y, 1)
+		b = append(b, ` stroke="#e0e0e0" stroke-width="1"/>`+"\n"...)
+		b = appendYTick(b, y, t)
 	}
-	// Axes.
-	fmt.Fprintf(&b, `<line x1="%d" y1="%.1f" x2="%.1f" y2="%.1f" stroke="black" stroke-width="1.5"/>`+"\n",
-		marginL, float64(marginT)+plotH, float64(marginL)+plotW, float64(marginT)+plotH)
-	fmt.Fprintf(&b, `<line x1="%d" y1="%d" x2="%d" y2="%.1f" stroke="black" stroke-width="1.5"/>`+"\n",
-		marginL, marginT, marginL, float64(marginT)+plotH)
-	if c.XLabel != "" {
-		fmt.Fprintf(&b, `<text x="%.1f" y="%d" font-family="sans-serif" font-size="12" text-anchor="middle">%s</text>`+"\n",
-			float64(marginL)+plotW/2, height-10, escape(c.XLabel))
-	}
-	if c.YLabel != "" {
-		fmt.Fprintf(&b, `<text x="14" y="%.1f" font-family="sans-serif" font-size="12" text-anchor="middle" transform="rotate(-90 14 %.1f)">%s</text>`+"\n",
-			float64(marginT)+plotH/2, float64(marginT)+plotH/2, escape(c.YLabel))
-	}
+	b = appendAxisLines(b, plotW, plotH)
+	b = appendAxisLabels(b, plotW, plotH, height, c.XLabel, c.YLabel)
 
 	// Ceilings.
 	for _, cl := range c.Ceilings {
 		y := py(cl.Y)
-		fmt.Fprintf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#666" stroke-width="1.5" stroke-dasharray="6 3"/>`+"\n",
-			px(cl.FromX), y, float64(marginL)+plotW, y)
+		b = append(b, "<line"...)
+		b = attrF(b, "x1", px(cl.FromX), 1)
+		b = attrF(b, "y1", y, 1)
+		b = attrF(b, "x2", float64(marginL)+plotW, 1)
+		b = attrF(b, "y2", y, 1)
+		b = append(b, ` stroke="#666" stroke-width="1.5" stroke-dasharray="6 3"/>`+"\n"...)
 		if cl.Label != "" {
-			fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-family="sans-serif" font-size="11" fill="#444">%s</text>`+"\n",
-				px(cl.FromX)+4, y-4, escape(cl.Label))
+			b = append(b, "<text"...)
+			b = attrF(b, "x", px(cl.FromX)+4, 1)
+			b = attrF(b, "y", y-4, 1)
+			b = append(b, ` font-family="sans-serif" font-size="11" fill="#444">`...)
+			b = appendTextEnd(b, cl.Label)
 		}
 	}
 
 	// Series.
 	for i, s := range c.Series {
-		color := palette[i%len(palette)]
-		var pts []string
+		b = append(b, `<polyline points="`...)
+		sep := false
 		for k := range s.X {
 			x, y := s.X[k], s.Y[k]
 			if c.LogX && x <= 0 || c.LogY && y <= 0 {
 				continue
 			}
-			pts = append(pts, fmt.Sprintf("%.1f,%.1f", px(x), py(y)))
+			if sep {
+				b = append(b, ' ')
+			}
+			sep = true
+			b = appendFixed(b, px(x), 1)
+			b = append(b, ',')
+			b = appendFixed(b, py(y), 1)
 		}
-		dash := ""
+		b = append(b, `" fill="none" stroke="`...)
+		b = append(b, palette[i%len(palette)]...)
+		b = append(b, `" stroke-width="2"`...)
 		if s.Dashed {
-			dash = ` stroke-dasharray="8 4"`
+			b = append(b, ` stroke-dasharray="8 4"`...)
 		}
-		fmt.Fprintf(&b, `<polyline points="%s" fill="none" stroke="%s" stroke-width="2"%s/>`+"\n",
-			strings.Join(pts, " "), color, dash)
+		b = append(b, "/>\n"...)
 	}
 
 	// Markers.
 	for _, m := range c.Markers {
 		x, y := px(m.X), py(m.Y)
-		fmt.Fprintf(&b, `<circle cx="%.1f" cy="%.1f" r="4" fill="#d62728" stroke="white" stroke-width="1"/>`+"\n", x, y)
+		b = append(b, "<circle"...)
+		b = attrF(b, "cx", x, 1)
+		b = attrF(b, "cy", y, 1)
+		b = append(b, ` r="4" fill="#d62728" stroke="white" stroke-width="1"/>`+"\n"...)
 		if m.Label != "" {
-			fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-family="sans-serif" font-size="11">%s</text>`+"\n",
-				x+6, y-6, escape(m.Label))
+			b = append(b, "<text"...)
+			b = attrF(b, "x", x+6, 1)
+			b = attrF(b, "y", y-6, 1)
+			b = append(b, ` font-family="sans-serif" font-size="11">`...)
+			b = appendTextEnd(b, m.Label)
 		}
 	}
 
@@ -125,22 +156,136 @@ func (c *Chart) SVG(w io.Writer) error {
 		if s.Name == "" {
 			continue
 		}
-		color := palette[i%len(palette)]
-		fmt.Fprintf(&b, `<line x1="%.1f" y1="%d" x2="%.1f" y2="%d" stroke="%s" stroke-width="2"/>`+"\n",
-			float64(marginL)+plotW-150, ly, float64(marginL)+plotW-130, ly, color)
-		fmt.Fprintf(&b, `<text x="%.1f" y="%d" font-family="sans-serif" font-size="11">%s</text>`+"\n",
-			float64(marginL)+plotW-124, ly+4, escape(s.Name))
+		b = append(b, "<line"...)
+		b = attrF(b, "x1", float64(marginL)+plotW-150, 1)
+		b = attrD(b, "y1", ly)
+		b = attrF(b, "x2", float64(marginL)+plotW-130, 1)
+		b = attrD(b, "y2", ly)
+		b = append(b, ` stroke="`...)
+		b = append(b, palette[i%len(palette)]...)
+		b = append(b, `" stroke-width="2"/>`+"\n"...)
+		b = append(b, "<text"...)
+		b = attrF(b, "x", float64(marginL)+plotW-124, 1)
+		b = attrD(b, "y", ly+4)
+		b = append(b, ` font-family="sans-serif" font-size="11">`...)
+		b = appendTextEnd(b, s.Name)
 		ly += 16
 	}
 
-	b.WriteString("</svg>\n")
-	_, err = io.WriteString(w, b.String())
+	return append(b, "</svg>\n"...), nil
+}
+
+// writeSVG renders fig to memory and writes the finished document, so
+// a render error leaves w untouched.
+func writeSVG(w io.Writer, fig interface{ AppendSVG([]byte) ([]byte, error) }) error {
+	b, err := fig.AppendSVG(nil)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
 	return err
 }
 
-// xmlEscaper escapes text for SVG element content and attribute
-// values. A Replacer is safe for concurrent use, so every render
-// shares this one instead of building its own.
-var xmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+// attrF appends ` name="v"` with v at prec decimals (%.<prec>f).
+func attrF(dst []byte, name string, v float64, prec int) []byte {
+	dst = append(dst, ' ')
+	dst = append(dst, name...)
+	dst = append(dst, '=', '"')
+	dst = appendFixed(dst, v, prec)
+	return append(dst, '"')
+}
 
-func escape(s string) string { return xmlEscaper.Replace(s) }
+// attrD appends ` name="v"` for an integer v (%d).
+func attrD(dst []byte, name string, v int) []byte {
+	dst = append(dst, ' ')
+	dst = append(dst, name...)
+	dst = append(dst, '=', '"')
+	dst = strconv.AppendInt(dst, int64(v), 10)
+	return append(dst, '"')
+}
+
+// appendTextEnd appends escaped text content and closes its element.
+func appendTextEnd(dst []byte, s string) []byte {
+	dst = appendEscaped(dst, s)
+	return append(dst, "</text>\n"...)
+}
+
+// appendHeader opens the document: the root element, a white
+// background and, when set, the title.
+func appendHeader(dst []byte, width, height int, title string) []byte {
+	dst = append(dst, `<svg xmlns="http://www.w3.org/2000/svg"`...)
+	dst = attrD(dst, "width", width)
+	dst = attrD(dst, "height", height)
+	dst = append(dst, ` viewBox="0 0 `...)
+	dst = strconv.AppendInt(dst, int64(width), 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(height), 10)
+	dst = append(dst, "\">\n"...)
+	dst = append(dst, `<rect width="100%" height="100%" fill="white"/>`+"\n"...)
+	if title != "" {
+		dst = append(dst, "<text"...)
+		dst = attrD(dst, "x", marginL)
+		dst = append(dst, ` y="22" font-family="sans-serif" font-size="15" font-weight="bold">`...)
+		dst = appendTextEnd(dst, title)
+	}
+	return dst
+}
+
+// appendXTick appends an x-axis tick label for value v at x, below a
+// plot area plotH tall.
+func appendXTick(dst []byte, x, plotH, v float64) []byte {
+	dst = append(dst, "<text"...)
+	dst = attrF(dst, "x", x, 1)
+	dst = attrF(dst, "y", float64(marginT)+plotH+16, 1)
+	dst = append(dst, ` font-family="sans-serif" font-size="11" text-anchor="middle">`...)
+	dst = appendTick(dst, v)
+	return append(dst, "</text>\n"...)
+}
+
+// appendYTick appends a y-axis tick label for value v at height y.
+func appendYTick(dst []byte, y, v float64) []byte {
+	dst = append(dst, "<text"...)
+	dst = attrD(dst, "x", marginL-6)
+	dst = attrF(dst, "y", y+4, 1)
+	dst = append(dst, ` font-family="sans-serif" font-size="11" text-anchor="end">`...)
+	dst = appendTick(dst, v)
+	return append(dst, "</text>\n"...)
+}
+
+// appendAxisLines appends the x and y axes of a plot area plotW×plotH.
+func appendAxisLines(dst []byte, plotW, plotH float64) []byte {
+	dst = append(dst, "<line"...)
+	dst = attrD(dst, "x1", marginL)
+	dst = attrF(dst, "y1", float64(marginT)+plotH, 1)
+	dst = attrF(dst, "x2", float64(marginL)+plotW, 1)
+	dst = attrF(dst, "y2", float64(marginT)+plotH, 1)
+	dst = append(dst, ` stroke="black" stroke-width="1.5"/>`+"\n"...)
+	dst = append(dst, "<line"...)
+	dst = attrD(dst, "x1", marginL)
+	dst = attrD(dst, "y1", marginT)
+	dst = attrD(dst, "x2", marginL)
+	dst = attrF(dst, "y2", float64(marginT)+plotH, 1)
+	return append(dst, ` stroke="black" stroke-width="1.5"/>`+"\n"...)
+}
+
+// appendAxisLabels appends the axis labels that are set, centred on a
+// plot area plotW×plotH in a document height pixels tall.
+func appendAxisLabels(dst []byte, plotW, plotH float64, height int, xlabel, ylabel string) []byte {
+	if xlabel != "" {
+		dst = append(dst, "<text"...)
+		dst = attrF(dst, "x", float64(marginL)+plotW/2, 1)
+		dst = attrD(dst, "y", height-10)
+		dst = append(dst, ` font-family="sans-serif" font-size="12" text-anchor="middle">`...)
+		dst = appendTextEnd(dst, xlabel)
+	}
+	if ylabel != "" {
+		mid := float64(marginT) + plotH/2
+		dst = append(dst, `<text x="14"`...)
+		dst = attrF(dst, "y", mid, 1)
+		dst = append(dst, ` font-family="sans-serif" font-size="12" text-anchor="middle" transform="rotate(-90 14 `...)
+		dst = appendFixed(dst, mid, 1)
+		dst = append(dst, ")\">"...)
+		dst = appendTextEnd(dst, ylabel)
+	}
+	return dst
+}

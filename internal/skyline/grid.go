@@ -1,7 +1,6 @@
 package skyline
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -269,16 +268,16 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	}
 	// Render to memory (the renderSVG contract: a complete chart or a
 	// clean 500, never a hybrid), write it, then spill the same bytes.
-	var buf bytes.Buffer
-	if err := hm.SVG(&buf); err != nil {
+	body, err := hm.AppendSVG(nil)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	persist := storeKey != "" && ctx.Err() == nil
 	w.Header().Set("Content-Type", "image/svg+xml")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	_, _ = w.Write(buf.Bytes()) // a write failure here means the client left
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body) // a write failure here means the client left
 	if persist {
-		flushThenPersist(w, s.store, storeKey, buf.Bytes())
+		flushThenPersist(w, s.store, storeKey, body)
 	}
 }

@@ -1,13 +1,11 @@
 package skyline
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"html/template"
-	"io"
 	"math"
 	"net/http"
 	"net/url"
@@ -284,19 +282,21 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // renderSVG renders a figure to memory before touching the response.
-// SVG renderers can fail mid-stream, and an http.Error issued after the
-// first byte of a 200 body would splice error text into the image —
-// clients must see either a complete chart or a clean 500, never a
-// corrupt hybrid.
-func renderSVG(w http.ResponseWriter, fig interface{ SVG(io.Writer) error }) {
-	var buf bytes.Buffer
-	if err := fig.SVG(&buf); err != nil {
+// A render can fail (an empty or all-NaN figure), and an http.Error
+// issued after the first byte of a 200 body would splice error text
+// into the image — clients must see either a complete chart or a clean
+// 500, never a corrupt hybrid. The figure appends into one buffer
+// sized from its element counts, and that buffer is the body; handleGrid
+// renders the same way and keeps the buffer to persist it.
+func renderSVG(w http.ResponseWriter, fig interface{ AppendSVG([]byte) ([]byte, error) }) {
+	body, err := fig.AppendSVG(nil)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "image/svg+xml")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	_, _ = buf.WriteTo(w) // a write failure here means the client left
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body) // a write failure here means the client left
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -499,12 +499,13 @@ func Chart(an core.Analysis) *plot.Chart {
 		YLabel: "safe velocity (m/s)",
 		LogX:   true,
 	}
-	var cx, cy, ix, iy []float64
+	cx, cy := make([]float64, len(curve)), make([]float64, len(curve))
+	ix, iy := make([]float64, len(curve)), make([]float64, len(curve))
 	for i := range curve {
-		cx = append(cx, curve[i].Throughput.Hertz())
-		cy = append(cy, curve[i].Velocity.MetersPerSecond())
-		ix = append(ix, ideal[i].Throughput.Hertz())
-		iy = append(iy, ideal[i].Velocity.MetersPerSecond())
+		cx[i] = curve[i].Throughput.Hertz()
+		cy[i] = curve[i].Velocity.MetersPerSecond()
+		ix[i] = ideal[i].Throughput.Hertz()
+		iy[i] = ideal[i].Velocity.MetersPerSecond()
 	}
 	ch.Series = append(ch.Series,
 		plot.Series{Name: "Eq. 4", X: cx, Y: cy},

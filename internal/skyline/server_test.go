@@ -403,13 +403,12 @@ func TestParamsRejectNaN(t *testing.T) {
 	}
 }
 
-// failingSVG streams half a figure and then fails — the shape of a
+// failingSVG appends half a figure and then fails — the shape of a
 // mid-render error.
 type failingSVG struct{}
 
-func (failingSVG) SVG(w io.Writer) error {
-	io.WriteString(w, "<svg><rect/>")
-	return errors.New("renderer broke mid-stream")
+func (failingSVG) AppendSVG(dst []byte) ([]byte, error) {
+	return append(dst, "<svg><rect/>"...), errors.New("renderer broke mid-stream")
 }
 
 // TestRenderSVGNoMidStreamSplice is the corrupt-chart regression: the
@@ -477,6 +476,32 @@ func TestSweepGridRejectNonFiniteBounds(t *testing.T) {
 		status, body := get(t, srv.URL+q)
 		if status != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400: %.80s", q, status, body)
+		}
+	}
+}
+
+// BenchmarkPlotEndpoint serves one /plot.svg (Pelican+TX2+DroNet) in
+// process: parse, analysis, chart build and render, with no transport.
+func BenchmarkPlotEndpoint(b *testing.B) {
+	benchSVGEndpoint(b, "/plot.svg?algorithm=DroNet&compute=Nvidia+TX2&uav=AscTec+Pelican")
+}
+
+// BenchmarkGridEndpoint serves one storeless /grid.svg in process: the
+// 40×30 payload × compute-rate grid of the perfbench interactive-mix
+// miss, so every request sweeps and renders.
+func BenchmarkGridEndpoint(b *testing.B) {
+	benchSVGEndpoint(b, "/grid.svg?algorithm=DroNet&compute=Nvidia+TX2&uav=AscTec+Pelican"+
+		"&x=payload&xlo=1&xhi=600&y=compute&ylo=1&yhi=120&nx=40&ny=30")
+}
+
+func benchSVGEndpoint(b *testing.B, target string) {
+	srv := NewServer(nil)
+	b.ReportAllocs()
+	for b.Loop() {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s: status %d: %s", target, rec.Code, rec.Body)
 		}
 	}
 }
