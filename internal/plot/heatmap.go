@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"strings"
 )
 
@@ -146,7 +145,7 @@ func (h *Heatmap) AppendSVG(dst []byte) ([]byte, error) {
 	// and color-bar step, a few hundred per other element, plus text.
 	size := 2048 + 80*(nx*ny+barSteps) +
 		2*(len(h.Title)+len(h.XLabel)+len(h.YLabel)+len(h.ZLabel))
-	b := slices.Grow(dst, size)
+	b := grow(dst, size)
 
 	b = appendHeader(b, width, height, h.Title)
 

@@ -3,6 +3,14 @@
 // small, dependency-free charting layer: line series with optional log
 // axes, horizontal ceiling segments, point markers with labels, a
 // legend, and nice tick generation.
+//
+// SVG has one rendering path: Chart.AppendSVG and Heatmap.AppendSVG
+// append the whole document to a byte slice sized from the figure's
+// element counts, and SVG(io.Writer) writes what they append. Numbers
+// go through appendFixed (svgappend.go), which matches
+// strconv.AppendFloat(v, 'f', prec, 64) byte for byte without its
+// multiprecision path; it falls back to strconv for NaN and ±Inf, when
+// |v|·10^prec ≥ 2^52, and on an exact decimal tie.
 package plot
 
 import (
